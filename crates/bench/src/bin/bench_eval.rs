@@ -29,19 +29,8 @@ use absort_circuit::eval::{pack_lanes, pack_lanes_wide};
 use absort_circuit::{Circuit, CompiledCircuit};
 use absort_circuit::{CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel, PassName};
 use absort_core::muxmerge;
-use absort_parwalk::ParEvaluator;
 
 const WORKLOAD: usize = 256;
-/// Pool-width cap for the level-parallel walker rows; the actual width
-/// is clamped to the cores the box exposes (a spinning pool wider than
-/// the machine only measures scheduler convoy).
-const PARWALK_THREADS: usize = 4;
-
-fn parwalk_threads() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(PARWALK_THREADS)
-}
 
 /// The committed ahead-of-time emitted source for the benchmark network
 /// at n = 64 (see `tests/emitted_golden.rs` for the pin) — the
@@ -156,12 +145,9 @@ fn size_row(n: usize, reps: usize) -> String {
 
     let compile_s = min_of(reps, 20, || circuit.compile());
     let compiled = circuit.compile();
-    // The fused tapes: superinstruction dispatch for the headline
-    // scalar/wide columns, plus the parallel-safe variant the
-    // level-parallel walker requires.
-    let fuse_opts = CompileOptions::default().with_fuse();
-    let fused = circuit.compile_with(&fuse_opts);
-    let fused_par = circuit.compile_with(&fuse_opts.with_par_safe());
+    // The fused tape: superinstruction dispatch for the headline
+    // scalar/wide columns.
+    let fused = circuit.compile_with(&CompileOptions::default().with_fuse());
     let fuse_stats = fused
         .pass_stats()
         .iter()
@@ -238,13 +224,11 @@ fn size_row(n: usize, reps: usize) -> String {
         acc
     });
 
-    // Wide-walk candidates: one [u64; 4] (256-lane) or [u64; 8]
-    // (512-lane) call covers the whole workload, which the register-
-    // allocated slot buffer keeps cache-resident. The headline
-    // `compiled_wide_ms` takes the best configuration per size —
-    // unfused/fused, both widths, and the level-parallel walker.
+    // Wide-walk candidates: one [u64; 4] (256-lane) call covers the
+    // whole workload, which the register-allocated slot buffer keeps
+    // cache-resident. The headline `compiled_wide_ms` takes the better
+    // of the unfused and fused tapes per size.
     let wide = pack_lanes_wide::<4>(&vectors, n);
-    let wide8 = pack_lanes_wide::<8>(&vectors, n);
     let mut compiled_w4: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&compiled);
     let mut wout = vec![[0u64; 4]; n];
     let compiled_wide = sample(reps, 100, || {
@@ -258,36 +242,9 @@ fn size_row(n: usize, reps: usize) -> String {
             wout[0][0]
         })
     };
-    let mut wout8 = vec![[0u64; 8]; n];
-    let compiled_wide8_fused_s = {
-        let mut ev: CompiledEvaluator<'_, [u64; 8]> = CompiledEvaluator::new(&fused);
-        min_of(reps, 100, || {
-            ev.run_into(&wide8, &mut wout8);
-            wout8[0][0]
-        })
-    };
-    let parwalk_pool = parwalk_threads();
-    let parwalk_wide4_s = {
-        let mut ev: ParEvaluator<[u64; 4]> = ParEvaluator::new(&fused_par, parwalk_pool);
-        min_of(reps, 100, || {
-            ev.run_into(&wide, &mut wout);
-            wout[0][0]
-        })
-    };
-    let parwalk_wide8_s = {
-        let mut ev: ParEvaluator<[u64; 8]> = ParEvaluator::new(&fused_par, parwalk_pool);
-        min_of(reps, 100, || {
-            ev.run_into(&wide8, &mut wout8);
-            wout8[0][0]
-        })
-    };
-    let parwalk_wide_s = parwalk_wide4_s.min(parwalk_wide8_s);
     let wide_candidates = [
         ("w4", compiled_wide.min),
         ("w4-fused", compiled_wide4_fused_s),
-        ("w8-fused", compiled_wide8_fused_s),
-        ("parwalk-w4-fused", parwalk_wide4_s),
-        ("parwalk-w8-fused", parwalk_wide8_s),
     ];
     let (wide_config, best_wide_s) = wide_candidates
         .into_iter()
@@ -419,9 +376,6 @@ fn size_row(n: usize, reps: usize) -> String {
             "      \"wide_config\": \"{wide_config}\",\n",
             "      \"compiled_wide4_ms\": {cw4},\n",
             "      \"compiled_wide4_fused_ms\": {cw4f},\n",
-            "      \"compiled_wide8_fused_ms\": {cw8f},\n",
-            "      \"parwalk_wide_ms\": {pw},\n",
-            "      \"parwalk_threads\": {pwt},\n",
             "      \"lanes_speedup\": {ls},\n",
             "      \"interp_par4_ms\": {ip},\n",
             "      \"compiled_par4_ms\": {cp},\n",
@@ -465,9 +419,6 @@ fn size_row(n: usize, reps: usize) -> String {
         wide_config = wide_config,
         cw4 = ms(compiled_wide.min),
         cw4f = ms(compiled_wide4_fused_s),
-        cw8f = ms(compiled_wide8_fused_s),
-        pw = ms(parwalk_wide_s),
-        pwt = parwalk_pool,
         ls = ratio(interp_lanes.min, best_wide_s),
         ip = ms(interp_par4_s),
         cp = ms(compiled_par4_s),

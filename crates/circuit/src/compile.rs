@@ -1039,9 +1039,15 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
         Ok(())
     }
 
-    /// Replays the tape into a caller-provided output slice (no
-    /// allocation).
-    pub fn run_into(&mut self, inputs: &[V], out: &mut [V]) {
+    /// Checks both slice lengths, loads `inputs` into their slots, runs
+    /// `exec` over the slot buffer and copies the outputs out.
+    #[inline(always)]
+    fn replay(
+        &mut self,
+        inputs: &[V],
+        out: &mut [V],
+        exec: impl FnOnce(&crate::dispatch::Program<V>, &mut [V]),
+    ) {
         let cc = self.cc;
         assert_eq!(
             inputs.len(),
@@ -1051,26 +1057,29 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
             inputs.len()
         );
         assert_eq!(out.len(), cc.n_outputs(), "output slice has wrong length");
+        let w = &mut self.slots;
+        for (&s, &v) in cc.input_slots.iter().zip(inputs) {
+            w[s as usize] = v;
+        }
+        exec(&self.prog, w);
+        for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
+            *o = w[s as usize];
+        }
+    }
 
+    /// Replays the tape into a caller-provided output slice (no
+    /// allocation).
+    pub fn run_into(&mut self, inputs: &[V], out: &mut [V]) {
         // One bool test when telemetry is off; when on, the pass is
         // timed and folded into the per-vector latency histogram below.
         #[cfg(feature = "telemetry")]
         let t0 = self.tel.is_active().then(std::time::Instant::now);
 
-        let w = &mut self.slots;
-        for (&s, &v) in cc.input_slots.iter().zip(inputs) {
-            w[s as usize] = v;
-        }
-
         // Threaded-code dispatch: the tape was decoded once at evaluator
         // construction (operands resolved, reuse flags folded into the
         // function choice, superinstructions expanded); each instruction
         // is now a single indirect call. See `crate::dispatch`.
-        self.prog.exec(w);
-
-        for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
-            *o = w[s as usize];
-        }
+        self.replay(inputs, out, |prog, w| prog.exec(w));
 
         // The histogram sample is the pass wall-clock divided by lane
         // width: per-*vector* latency, comparable across lane types.
@@ -1084,219 +1093,23 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
             }
         }
     }
-}
 
-#[cfg(feature = "profile")]
-impl<V: Lane> CompiledEvaluator<'_, V> {
     /// Replays the tape like [`CompiledEvaluator::run_into`] while
     /// attributing executions and wall-clock per micro-op kind and per
     /// depth level into `prof` (level 0 = constant prologue).
     ///
-    /// This is a deliberately *separate* dispatch loop: the production
-    /// `run_into` carries no profiling branches, and callers sample
-    /// (profile a subset of passes) rather than pay the per-op clock
-    /// reads everywhere. Output values are identical to `run_into`.
+    /// Runs the same decoded instructions as `run_into` (see
+    /// [`crate::dispatch`]), timing each one, so output values are
+    /// identical; callers sample (profile a subset of passes) rather
+    /// than pay the per-op clock reads everywhere.
     pub fn run_into_profiled(
         &mut self,
         inputs: &[V],
         out: &mut [V],
         prof: &mut crate::profile::TapeProfile,
     ) {
-        use std::time::Instant;
         let cc = self.cc;
-        assert_eq!(
-            inputs.len(),
-            cc.n_inputs(),
-            "expected {} inputs, got {}",
-            cc.n_inputs(),
-            inputs.len()
-        );
-        assert_eq!(out.len(), cc.n_outputs(), "output slice has wrong length");
-        prof.ensure_levels(cc.level_ranges.len() + 1);
-
-        let w = &mut self.slots;
-        for (&s, &v) in cc.input_slots.iter().zip(inputs) {
-            w[s as usize] = v;
-        }
-
-        let mut m = [V::ZERO; 4];
-        // Level segment tracking: ops `0..prologue_len` are segment 0;
-        // each level range is the following segment.
-        let mut seg = 0usize;
-        let mut seg_end = cc.prologue_len as usize;
-        let mut prev_kind: Option<usize> = None;
-        let mut last = Instant::now();
-        for (i, op) in cc.tape.iter().enumerate() {
-            while i >= seg_end && seg < cc.level_ranges.len() {
-                seg_end = cc.level_ranges[seg].1 as usize;
-                seg += 1;
-                prev_kind = None;
-            }
-            match *op {
-                MicroOp::Const { d, v } => w[d as usize] = V::splat(v),
-                MicroOp::Not { d, a } => {
-                    let x = w[a as usize];
-                    w[d as usize] = x.not();
-                }
-                MicroOp::And { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.and(y);
-                }
-                MicroOp::Or { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.or(y);
-                }
-                MicroOp::Xor { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.xor(y);
-                }
-                MicroOp::Nand { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.and(y).not();
-                }
-                MicroOp::Nor { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.or(y).not();
-                }
-                MicroOp::Xnor { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.xor(y).not();
-                }
-                MicroOp::Mux { d, s, a1, a0 } => {
-                    let (sv, x1, x0) = (w[s as usize], w[a1 as usize], w[a0 as usize]);
-                    w[d as usize] = V::select(sv, x1, x0);
-                }
-                MicroOp::Demux { d0, d1, s, x } => {
-                    let (sv, xv) = (w[s as usize], w[x as usize]);
-                    w[d0 as usize] = sv.not().and(xv);
-                    w[d1 as usize] = sv.and(xv);
-                }
-                MicroOp::Switch2 { d0, d1, s, a, b } => {
-                    let (sv, av, bv) = (w[s as usize], w[a as usize], w[b as usize]);
-                    w[d0 as usize] = V::select(sv, bv, av);
-                    w[d1 as usize] = V::select(sv, av, bv);
-                }
-                MicroOp::Route2 { d0, d1, a, b } => {
-                    let (av, bv) = (w[a as usize], w[b as usize]);
-                    w[d0 as usize] = av;
-                    w[d1 as usize] = bv;
-                }
-                MicroOp::BitCompare { d0, d1, a, b } => {
-                    let (av, bv) = (w[a as usize], w[b as usize]);
-                    w[d0 as usize] = av.and(bv);
-                    w[d1 as usize] = av.or(bv);
-                }
-                MicroOp::Switch4 {
-                    d,
-                    ins,
-                    s1,
-                    s0,
-                    pidx,
-                } => {
-                    if pidx & REUSE_MASKS == 0 {
-                        let (v1, v0) = (w[s1 as usize], w[s0 as usize]);
-                        m = [
-                            v1.not().and(v0.not()),
-                            v1.not().and(v0),
-                            v1.and(v0.not()),
-                            v1.and(v0),
-                        ];
-                    }
-                    let pm = &cc.perm_sets[(pidx & !REUSE_MASKS) as usize];
-                    let iv = [
-                        w[ins[0] as usize],
-                        w[ins[1] as usize],
-                        w[ins[2] as usize],
-                        w[ins[3] as usize],
-                    ];
-                    for j in 0..4 {
-                        w[d[j] as usize] = m[0]
-                            .and(iv[pm[0][j] as usize])
-                            .or(m[1].and(iv[pm[1][j] as usize]))
-                            .or(m[2].and(iv[pm[2][j] as usize]))
-                            .or(m[3].and(iv[pm[3][j] as usize]));
-                    }
-                }
-                MicroOp::Pair2 { idx } => {
-                    for sub in &cc.fused_pairs[idx as usize] {
-                        exec_pairable(w, sub);
-                    }
-                }
-                MicroOp::S4Chain { idx } => {
-                    let ch = cc.s4_chains[idx as usize];
-                    let (v1, v0) = (w[ch.s1 as usize], w[ch.s0 as usize]);
-                    m = [
-                        v1.not().and(v0.not()),
-                        v1.not().and(v0),
-                        v1.and(v0.not()),
-                        v1.and(v0),
-                    ];
-                    let items = &cc.s4_items[ch.start as usize..(ch.start + ch.len) as usize];
-                    for it in items {
-                        let pm = &cc.perm_sets[it.pidx as usize];
-                        let iv = [
-                            w[it.ins[0] as usize],
-                            w[it.ins[1] as usize],
-                            w[it.ins[2] as usize],
-                            w[it.ins[3] as usize],
-                        ];
-                        for j in 0..4 {
-                            w[it.d[j] as usize] = m[0]
-                                .and(iv[pm[0][j] as usize])
-                                .or(m[1].and(iv[pm[1][j] as usize]))
-                                .or(m[2].and(iv[pm[2][j] as usize]))
-                                .or(m[3].and(iv[pm[3][j] as usize]));
-                        }
-                    }
-                }
-            }
-            let now = Instant::now();
-            let ns = u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
-            last = now;
-            let k = op.kind_index();
-            prof.kinds[k].executions += 1;
-            prof.kinds[k].total_ns = prof.kinds[k].total_ns.saturating_add(ns);
-            prof.levels[seg].executions += 1;
-            prof.levels[seg].total_ns = prof.levels[seg].total_ns.saturating_add(ns);
-            if let Some(p) = prev_kind {
-                prof.record_pair(p, k);
-            }
-            prev_kind = Some(k);
-        }
-
-        for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
-            *o = w[s as usize];
-        }
-        prof.passes += 1;
-    }
-}
-
-/// Executes one half of a [`MicroOp::Pair2`] superinstruction. Only the
-/// pair-fusible kinds (see `crate::dispatch::pair_code`) can appear here;
-/// the fuse pass never emits anything else into `fused_pairs`.
-#[cfg(feature = "profile")]
-fn exec_pairable<V: Lane>(w: &mut [V], op: &MicroOp) {
-    match *op {
-        MicroOp::And { d, a, b } => w[d as usize] = w[a as usize].and(w[b as usize]),
-        MicroOp::Or { d, a, b } => w[d as usize] = w[a as usize].or(w[b as usize]),
-        MicroOp::Xor { d, a, b } => w[d as usize] = w[a as usize].xor(w[b as usize]),
-        MicroOp::Nand { d, a, b } => w[d as usize] = w[a as usize].and(w[b as usize]).not(),
-        MicroOp::Nor { d, a, b } => w[d as usize] = w[a as usize].or(w[b as usize]).not(),
-        MicroOp::Xnor { d, a, b } => w[d as usize] = w[a as usize].xor(w[b as usize]).not(),
-        MicroOp::Mux { d, s, a1, a0 } => {
-            w[d as usize] = V::select(w[s as usize], w[a1 as usize], w[a0 as usize]);
-        }
-        MicroOp::BitCompare { d0, d1, a, b } => {
-            let (av, bv) = (w[a as usize], w[b as usize]);
-            w[d0 as usize] = av.and(bv);
-            w[d1 as usize] = av.or(bv);
-        }
-        MicroOp::Switch2 { d0, d1, s, a, b } => {
-            let (sv, av, bv) = (w[s as usize], w[a as usize], w[b as usize]);
-            w[d0 as usize] = V::select(sv, bv, av);
-            w[d1 as usize] = V::select(sv, av, bv);
-        }
-        ref other => unreachable!("non-fusible op {other:?} inside a fused pair"),
+        self.replay(inputs, out, |prog, w| prog.exec_profiled(cc, w, prof));
     }
 }
 
@@ -1344,22 +1157,46 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "profile")]
-    #[test]
-    fn profiled_run_matches_and_attributes_every_op() {
-        let c = kitchen_sink();
-        let cc = c.compile();
+    /// One swapper column (two 4×4 switches on a shared control pair)
+    /// beside a row of independent gates, all in one depth level: the
+    /// fused tape carries both an [`MicroOp::S4Chain`] and
+    /// [`MicroOp::Pair2`]s.
+    fn fusible() -> Circuit {
+        let mut b = Builder::new();
+        let s1 = b.input();
+        let s0 = b.input();
+        let x = b.input_bus(8);
+        let pm = [[0, 1, 2, 3], [1, 0, 3, 2], [3, 2, 1, 0], [2, 3, 0, 1]];
+        let lo = b.switch4(s1, s0, [x[0], x[1], x[2], x[3]], pm);
+        let hi = b.switch4(s1, s0, [x[4], x[5], x[6], x[7]], pm);
+        let g = [
+            b.and(x[0], x[5]),
+            b.gate(crate::GateOp::Xor, x[1], x[6]),
+            b.or(x[2], x[7]),
+            b.gate(crate::GateOp::Nand, x[3], x[4]),
+        ];
+        b.outputs(&lo);
+        b.outputs(&hi);
+        b.outputs(&g);
+        b.finish()
+    }
+
+    /// Profiled passes over `batches` must reproduce `run_into` exactly
+    /// and attribute every executed tape op to one kind and one level.
+    fn check_profiled<V: Lane + PartialEq + std::fmt::Debug>(
+        cc: &CompiledCircuit,
+        batches: &[Vec<V>],
+    ) {
         let mut prof = crate::profile::TapeProfile::new();
-        let mut ev: CompiledEvaluator<'_, bool> = CompiledEvaluator::new(&cc);
-        let mut prof_ev: CompiledEvaluator<'_, bool> = CompiledEvaluator::new(&cc);
-        let mut passes = 0u64;
-        for input in all_inputs(c.n_inputs()) {
-            let want = ev.run(&input);
-            let mut got = vec![false; cc.n_outputs()];
-            prof_ev.run_into_profiled(&input, &mut got, &mut prof);
+        let mut ev: CompiledEvaluator<'_, V> = CompiledEvaluator::new(cc);
+        let mut prof_ev: CompiledEvaluator<'_, V> = CompiledEvaluator::new(cc);
+        for input in batches {
+            let want = ev.run(input);
+            let mut got = vec![V::ZERO; cc.n_outputs()];
+            prof_ev.run_into_profiled(input, &mut got, &mut prof);
             assert_eq!(got, want, "input {input:?}");
-            passes += 1;
         }
+        let passes = batches.len() as u64;
         assert_eq!(prof.passes, passes);
         assert_eq!(prof.total_executions(), passes * cc.tape_len() as u64);
         // Every op lands in exactly one level segment, prologue included.
@@ -1371,7 +1208,30 @@ mod tests {
             passes * cc.prologue_len() as u64,
             "prologue segment holds exactly the prologue ops"
         );
+        for op in cc.tape() {
+            assert!(prof.kinds[op.kind_index()].executions >= passes, "{op:?}");
+        }
         assert!(!prof.hot_kinds().is_empty());
+    }
+
+    #[test]
+    fn profiled_run_matches_and_attributes_every_op() {
+        let plain = kitchen_sink().compile();
+        let fc = fusible();
+        let fused = fc.compile_with(&CompileOptions::default().with_fuse());
+        let kinds: Vec<usize> = fused.tape().iter().map(MicroOp::kind_index).collect();
+        for sup in [MicroOp::Pair2 { idx: 0 }, MicroOp::S4Chain { idx: 0 }] {
+            assert!(kinds.contains(&sup.kind_index()), "no {sup:?} in {kinds:?}");
+        }
+        for (c, cc) in [(kitchen_sink(), plain), (fc, fused)] {
+            let vectors: Vec<Vec<bool>> = all_inputs(c.n_inputs()).collect();
+            check_profiled::<bool>(&cc, &vectors);
+            let wide: Vec<Vec<[u64; 4]>> = vectors
+                .chunks(256)
+                .map(|ch| crate::eval::pack_lanes_wide::<4>(ch, c.n_inputs()))
+                .collect();
+            check_profiled::<[u64; 4]>(&cc, &wide);
+        }
     }
 
     #[test]

@@ -23,12 +23,18 @@
 //!   only when every lane shares one control value, i.e. exactly when
 //!   `LANES == 1`.
 //!
-//! The profiled twin ([`CompiledEvaluator::run_into_profiled`]) keeps
-//! the classic match loop: profiling wants per-`MicroOp` attribution,
-//! not per-decoded-function.
+//! [`Program`] is the only executor of tape ops: [`Program::exec`] is
+//! the production loop, and [`Program::exec_profiled`] (behind
+//! [`CompiledEvaluator::run_into_profiled`](crate::CompiledEvaluator::run_into_profiled))
+//! walks the very same instructions with a clock read between them.
+//! Instructions map 1:1 onto tape ops, so per-`MicroOp` attribution is
+//! read straight off [`CompiledCircuit::tape`].
+
+use std::time::Instant;
 
 use crate::compile::{CompiledCircuit, MicroOp, REUSE_MASKS};
 use crate::lane::Lane;
+use crate::profile::TapeProfile;
 
 /// One decoded 4×4 switch of a fused chain: permutation bytes inline.
 pub(crate) struct ChainItem {
@@ -398,5 +404,50 @@ impl<V: Lane> Program<V> {
         for i in &self.instrs {
             (i.f)(w, &mut m, &self.items, i);
         }
+    }
+
+    /// [`Program::exec`] with attribution into `prof`: executions and
+    /// wall-clock per micro-op kind (`cc.tape()[i].kind_index()` for
+    /// instruction `i`) and per depth level (segment 0 = constant
+    /// prologue, then [`CompiledCircuit::level_ranges`]), plus the
+    /// same-level adjacency census. `cc` must be the circuit this
+    /// program was decoded from. The clock is read between instructions,
+    /// so absolute nanoseconds include its overhead; the numbers rank
+    /// kinds and levels against each other.
+    pub(crate) fn exec_profiled(&self, cc: &CompiledCircuit, w: &mut [V], prof: &mut TapeProfile) {
+        let tape = cc.tape();
+        assert_eq!(
+            self.instrs.len(),
+            tape.len(),
+            "program decoded from another tape"
+        );
+        let levels = cc.level_ranges();
+        prof.ensure_levels(levels.len() + 1);
+        let mut m = [V::ZERO; 4];
+        let mut seg = 0usize;
+        let mut seg_end = cc.prologue_len();
+        let mut prev_kind: Option<usize> = None;
+        let mut last = Instant::now();
+        for (idx, (i, op)) in self.instrs.iter().zip(tape).enumerate() {
+            while idx >= seg_end && seg < levels.len() {
+                seg_end = s(levels[seg].1);
+                seg += 1;
+                prev_kind = None;
+            }
+            (i.f)(w, &mut m, &self.items, i);
+            let now = Instant::now();
+            let ns = u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
+            last = now;
+            let k = op.kind_index();
+            prof.kinds[k].executions += 1;
+            prof.kinds[k].total_ns = prof.kinds[k].total_ns.saturating_add(ns);
+            prof.levels[seg].executions += 1;
+            prof.levels[seg].total_ns = prof.levels[seg].total_ns.saturating_add(ns);
+            if let Some(p) = prev_kind {
+                prof.record_pair(p, k);
+            }
+            prev_kind = Some(k);
+        }
+        prof.passes += 1;
     }
 }

@@ -18,8 +18,8 @@
 //!   contain no 4×4 switches at all.
 //!
 //! Fusion never crosses a depth-level boundary, so
-//! [`CompiledCircuit::level_ranges`] still tiles the tape and
-//! level-parallel execution (`absort-parwalk`) stays legal. A mask-reuse
+//! [`CompiledCircuit::level_ranges`] still tiles the tape and the
+//! profiler's per-level attribution stays exact. A mask-reuse
 //! op left at a level head (its mask source sits in the previous level)
 //! has its [`REUSE_MASKS`] flag cleared instead — recomputing the masks
 //! is sound because the reuse flag itself certifies the control slots

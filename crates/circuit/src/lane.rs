@@ -248,49 +248,49 @@ mod tests {
         assert_eq!(<[u64; 2]>::lane_mask(70), [0, 1 << 6]);
     }
 
-    mod wide8_props {
+    mod wide_props {
         use super::super::*;
         use proptest::prelude::*;
         use rand::prelude::*;
 
-        fn w8(rng: &mut StdRng) -> [u64; 8] {
+        fn w4(rng: &mut StdRng) -> [u64; 4] {
             std::array::from_fn(|_| rng.gen())
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Every `[u64; 8]` op is exactly eight independent `u64`
+            /// Every `[u64; 4]` op is exactly four independent `u64`
             /// ops — no word leaks into its neighbours.
             #[test]
             fn ops_match_per_word_u64(seed in any::<u64>()) {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let (a, b, s) = (w8(&mut rng), w8(&mut rng), w8(&mut rng));
-                for i in 0..8 {
+                let (a, b, s) = (w4(&mut rng), w4(&mut rng), w4(&mut rng));
+                for i in 0..4 {
                     prop_assert_eq!(a.not()[i], !a[i]);
                     prop_assert_eq!(a.and(b)[i], a[i] & b[i]);
                     prop_assert_eq!(a.or(b)[i], a[i] | b[i]);
                     prop_assert_eq!(a.xor(b)[i], a[i] ^ b[i]);
                     prop_assert_eq!(
-                        <[u64; 8]>::select(s, a, b)[i],
+                        <[u64; 4]>::select(s, a, b)[i],
                         u64::select(s[i], a[i], b[i])
                     );
                 }
             }
 
             /// `lane_mask` sets exactly one bit, in the right word, and
-            /// `first_lane` extracts lane 0 across all 512 lanes.
+            /// `first_lane` extracts lane 0 across all 256 lanes.
             #[test]
-            fn lane_mask_splat_and_extract(lane in 0u32..512) {
-                let m = <[u64; 8]>::lane_mask(lane);
+            fn lane_mask_splat_and_extract(lane in 0u32..256) {
+                let m = <[u64; 4]>::lane_mask(lane);
                 for (w, &word) in m.iter().enumerate() {
                     let want = if w as u32 == lane / 64 { 1u64 << (lane % 64) } else { 0 };
                     prop_assert_eq!(word, want, "word {} of lane_mask({})", w, lane);
                 }
                 prop_assert_eq!(m.first_lane(), lane == 0);
-                prop_assert_eq!(<[u64; 8]>::splat(true).and(m), m);
-                prop_assert_eq!(<[u64; 8]>::splat(false).or(m), m);
-                prop_assert_eq!(<[u64; 8]>::LANES, 512);
+                prop_assert_eq!(<[u64; 4]>::splat(true).and(m), m);
+                prop_assert_eq!(<[u64; 4]>::splat(false).or(m), m);
+                prop_assert_eq!(<[u64; 4]>::LANES, 256);
             }
 
             /// Select against splatted constants degenerates to the
@@ -299,11 +299,11 @@ mod tests {
             #[test]
             fn select_against_splats(seed in any::<u64>()) {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let (a, b) = (w8(&mut rng), w8(&mut rng));
-                prop_assert_eq!(<[u64; 8]>::select(<[u64; 8]>::splat(true), a, b), a);
-                prop_assert_eq!(<[u64; 8]>::select(<[u64; 8]>::splat(false), a, b), b);
-                prop_assert_eq!(a.xor(a), <[u64; 8]>::ZERO);
-                prop_assert_eq!(a.xor(a.not()), <[u64; 8]>::ONES);
+                let (a, b) = (w4(&mut rng), w4(&mut rng));
+                prop_assert_eq!(<[u64; 4]>::select(<[u64; 4]>::splat(true), a, b), a);
+                prop_assert_eq!(<[u64; 4]>::select(<[u64; 4]>::splat(false), a, b), b);
+                prop_assert_eq!(a.xor(a), <[u64; 4]>::ZERO);
+                prop_assert_eq!(a.xor(a.not()), <[u64; 4]>::ONES);
             }
         }
     }

@@ -269,9 +269,9 @@ pub struct CompileOptions {
     pub fuse: bool,
     /// Allocate slots so that ops within one depth level never reuse a
     /// slot freed earlier in the *same* level (frees are parked until
-    /// the level boundary). Costs a few extra slots; makes every op in
-    /// a level independent, the precondition for level-parallel
-    /// execution (`absort-parwalk`).
+    /// the level boundary). Costs a few extra slots; guarantees the tape
+    /// has no write-after-read or write-after-write slot hazards within
+    /// one level, so a level's ops may run in any order.
     pub par_safe: bool,
 }
 

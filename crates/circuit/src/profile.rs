@@ -1,14 +1,14 @@
-//! Sampled tape profiling (feature `profile`): executions and wall-clock
-//! attributed per micro-op kind and per depth level.
+//! Sampled tape profiling: executions and wall-clock attributed per
+//! micro-op kind and per depth level.
 //!
 //! The profiled run path ([`crate::CompiledEvaluator::run_into_profiled`])
-//! is a *separate* dispatch loop from the hot `run_into` — the production
-//! tape replay carries zero profiling branches, and drivers sample (e.g.
-//! profile every k-th pass) rather than instrument every pass. Per-op
-//! attribution reads the monotonic clock between ops, so absolute
-//! nanoseconds include clock overhead (~tens of ns per op); the numbers
-//! are for *ranking* kinds and levels against each other, which is what
-//! the superinstruction work needs.
+//! executes the same decoded instructions as the hot `run_into`, with a
+//! clock read between them; `run_into` itself carries no profiling
+//! branches, and drivers sample (e.g. profile every k-th pass) rather
+//! than instrument every pass. Absolute nanoseconds include clock
+//! overhead (~tens of ns per op); the numbers are for *ranking* kinds
+//! and levels against each other, which is what the superinstruction
+//! work needs.
 
 use crate::compile::MicroOp;
 

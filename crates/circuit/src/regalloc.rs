@@ -57,8 +57,7 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
 /// carries no intra-level write-after-read or write-after-write hazards:
 /// every op of a level reads only slots written by earlier levels and
 /// writes slots no other op of the level touches, so a level's ops can
-/// execute in any order — or concurrently (see the `absort-parwalk`
-/// level-parallel walker). Costs a slightly larger working buffer.
+/// execute in any order. Costs a slightly larger working buffer.
 pub fn allocate_with(ir: &CompileIr, par_safe: bool) -> CompiledCircuit {
     let n_vals = ir.n_vals as usize;
 

@@ -22,6 +22,8 @@
 //! [`check`] re-runs validation + verification on a parsed set and is
 //! what `absort rules check` (and CI) runs against the committed file.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use absort_circuit::component::GateOp;

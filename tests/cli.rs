@@ -320,16 +320,11 @@ fn inspect_prints_profile() {
 }
 
 /// `inspect --profile` runs the sampled tape profiler and prints the
-/// hot-op table; without the `profile` feature it refuses loudly
-/// instead of silently skipping what was asked for.
+/// hot-op table.
 #[test]
 fn inspect_profile_prints_hot_op_table() {
     let out = run(&["inspect", "--network", "prefix", "--n", "64", "--profile"]);
     let err = String::from_utf8_lossy(&out.stderr);
-    if err.contains("--features profile") {
-        assert_eq!(out.status.code(), Some(2), "{err}");
-        return;
-    }
     assert!(out.status.success(), "{err}");
     let s = stdout(&out);
     assert!(s.contains("tape profile ("), "{s}");

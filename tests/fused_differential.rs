@@ -4,8 +4,8 @@
 //! * exhaustive fused-vs-unfused tape equivalence at `n ≤ 8` for every
 //!   catalog network × opt level (with and without parallel-safe slot
 //!   allocation);
-//! * fused tapes carry no standalone mask-reuse ops (the `absort-parwalk`
-//!   precondition) and actually shrink the hot tapes;
+//! * fused tapes carry no standalone mask-reuse ops (every dispatched op
+//!   computes its own select masks) and actually shrink the hot tapes;
 //! * fault-campaign reports are bit-identical between fused and unfused
 //!   sweeps (fused sites recompile instead of mispatching);
 //! * CSE merge-site provenance: the Dead / patched / recompiled split,
