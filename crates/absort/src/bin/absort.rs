@@ -592,6 +592,13 @@ fn cmd_inspect(a: &Args) {
             s.removed()
         );
     }
+    if cc.rewrite_rounds() > 0 {
+        println!(
+            "rewrite: rounds {}, rule attempts {}",
+            cc.rewrite_rounds(),
+            cc.rewrite_attempts()
+        );
+    }
     if !cc.rewrite_hits().is_empty() {
         println!("rewrite rule hits:");
         for (rule, hits) in cc.rewrite_hits() {

@@ -404,6 +404,10 @@ pub struct CompiledCircuit {
     /// (rule name → hits), empty when the pass did not run or matched
     /// nothing. Surfaced by `absort inspect` and telemetry.
     pub(crate) rewrite_hits: Vec<(String, u32)>,
+    /// Fixpoint rounds and rule attempts of the `rewrite` pass (zero
+    /// when it did not run).
+    pub(crate) rewrite_rounds: u32,
+    pub(crate) rewrite_attempts: u64,
     /// Original encodings of [`MicroOp::Pair2`] superinstructions
     /// (empty unless the `fuse` pass ran).
     pub(crate) fused_pairs: Vec<[MicroOp; 2]>,
@@ -824,6 +828,21 @@ impl CompiledCircuit {
     #[inline]
     pub fn rewrite_hits(&self) -> &[(String, u32)] {
         &self.rewrite_hits
+    }
+
+    /// Fixpoint rounds the `rewrite` pass scanned, the final confirming
+    /// round (which applies nothing) included. Zero when the pass was
+    /// disabled.
+    #[inline]
+    pub fn rewrite_rounds(&self) -> u32 {
+        self.rewrite_rounds
+    }
+
+    /// Rule attempts the `rewrite` pass made past its anchor index: one
+    /// per rule tried on a live op of the rule's anchor class.
+    #[inline]
+    pub fn rewrite_attempts(&self) -> u64 {
+        self.rewrite_attempts
     }
 
     /// Wire count of the source circuit.

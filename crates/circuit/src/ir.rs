@@ -290,6 +290,11 @@ pub struct CompileIr {
     /// (rule name → number of sites rewritten), surfaced by
     /// `CompiledCircuit::rewrite_hits` and `absort inspect`.
     pub rewrite_hits: Vec<(String, u32)>,
+    /// Fixpoint rounds the `rewrite` pass scanned (the final,
+    /// confirming round included).
+    pub rewrite_rounds: u32,
+    /// Rule attempts the `rewrite` pass made past its anchor index.
+    pub rewrite_attempts: u64,
 }
 
 /// Lowers a netlist into the IR: two canonical constant ops first (so
@@ -397,6 +402,8 @@ pub fn lower(c: &Circuit) -> CompileIr {
         fold_hint: vec![FoldHint::None; comps.len()],
         source_wires: c.n_wires() as u32,
         rewrite_hits: Vec::new(),
+        rewrite_rounds: 0,
+        rewrite_attempts: 0,
     }
 }
 

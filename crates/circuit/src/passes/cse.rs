@@ -17,11 +17,9 @@
 //! campaigns fall back to per-mutant recompiles for exactly those
 //! sites.
 
-use std::collections::HashMap;
-
 use crate::component::{GateOp, Perm4};
 use crate::ir::{CompileIr, FoldHint, IrKind, ValId};
-use crate::passes::Pass;
+use crate::passes::{FastMap, Pass};
 
 /// Hash key of one op: the function it computes of its (substituted)
 /// operand values. Commutative operand pairs are stored sorted.
@@ -92,11 +90,11 @@ impl Pass for Cse {
         let mut subst: Vec<ValId> = (0..ir.n_vals).collect();
         let mut keep = vec![true; ir.ops.len()];
         // Key → (op index, defs) of the first occurrence.
-        let mut seen: HashMap<Key, (usize, [ValId; 4])> = HashMap::new();
+        let mut seen: FastMap<Key, (usize, [ValId; 4])> = FastMap::default();
         let mut folded: Vec<(u32, bool)> = Vec::new();
-        // Survivor op index → were ALL duplicates merged into it
-        // unobserved on entry?
-        let mut survivors: HashMap<usize, bool> = HashMap::new();
+        // Per survivor op: were ALL duplicates merged into it
+        // unobserved on entry? (`None`: nothing merged into the op.)
+        let mut survivors: Vec<Option<bool>> = vec![None; ir.ops.len()];
         for (i, op) in ir.ops.iter_mut().enumerate() {
             op.kind.map_uses(|v| subst[v as usize]);
             match seen.entry(key_of(&op.kind)) {
@@ -111,10 +109,8 @@ impl Pass for Cse {
                     }
                     keep[i] = false;
                     folded.push((op.comp, unobserved));
-                    survivors
-                        .entry(survivor)
-                        .and_modify(|all| *all &= unobserved)
-                        .or_insert(unobserved);
+                    let all = survivors[survivor].get_or_insert(true);
+                    *all &= unobserved;
                 }
             }
         }
@@ -124,9 +120,13 @@ impl Pass for Cse {
         // own component, so it stays `Live` and unshared — fault
         // campaigns patch it in place instead of recompiling. Any
         // observed duplicate makes the survivor stand for two components
-        // at once, which keeps the recompile fallback.
+        // at once, which keeps the recompile fallback. Survivors are
+        // visited in op order, so the outcome is deterministic.
         let mut kept_live: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for (&si, &all_unobserved) in &survivors {
+        for (si, all_unobserved) in survivors.into_iter().enumerate() {
+            let Some(all_unobserved) = all_unobserved else {
+                continue;
+            };
             let comp = ir.ops[si].comp;
             if all_unobserved
                 && comp != crate::ir::NO_COMP

@@ -34,6 +34,9 @@ pub mod mask_reuse;
 pub mod rewrite;
 pub mod schedule;
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::circuit::Circuit;
 use crate::ir::CompileIr;
 
@@ -441,6 +444,60 @@ impl PassManager {
             got, want,
             "IR diverges from the interpreter after pass `{after}`"
         );
+    }
+}
+
+/// `HashMap` keyed by small integer tuples (op keys, op indices), hashed
+/// with [`MulHasher`] instead of SipHash. Only lookups are made through
+/// these maps; nothing iterates them in hash order.
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// A multiplicative word hasher (the rustc `FxHasher` recipe): each word
+/// is added to the state, which is then multiplied by an odd constant;
+/// `finish` rotates the well-mixed high bits down to where the table
+/// takes its bucket index. Not DoS-resistant — keys here are compiler-
+/// internal, never attacker-chosen.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct MulHasher(u64);
+
+impl MulHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 

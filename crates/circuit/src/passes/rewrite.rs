@@ -29,15 +29,27 @@
 //! output-equivalent) would be unsound. `Rewritten` always takes the
 //! per-mutant recompile fallback, which is ground truth — fault
 //! campaigns therefore stay bit-identical across opt levels.
+//!
+//! **Compiled matcher.** Each call buckets the ruleset once by the
+//! anchor class of every rule's root 0 (`not`, `mux`, `demux`, `sw2`,
+//! `cmp`, and one class per gate op), keeping file order inside a
+//! bucket, so a live op tries only the rules that can anchor on it — and
+//! the first one that matches is the same rule a full file-order scan
+//! would pick. Matching is allocation-free: one `Scratch` per round
+//! holds the variable bindings, an undo trail (commutative backtracking
+//! unbinds past a save point instead of cloning the bindings) and the
+//! visited-op list, which is copied only when a match is applied. The
+//! per-round structural key map hashes with the in-tree `MulHasher`
+//! (see `passes/mod.rs`).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use crate::component::{GateOp, Perm4};
 use crate::ir::{CompileIr, FoldHint, IrKind, IrOp, ValId, NO_COMP};
 use crate::pattern::{lut2_switch4, PatNode, PatRef, Pattern, Rule, RuleSet};
 
-use super::Pass;
+use super::{FastMap, Pass};
 
 /// Builtin (programmatic) rule names the pass implements; the ruleset
 /// file enables them by name and `absort rules check` validates against
@@ -66,30 +78,51 @@ impl Pass for Rewrite {
     }
 
     fn run(&self, ir: &mut CompileIr) {
-        let hits = rewrite_ir(ir, default_ruleset());
+        let out = rewrite_ir(ir, default_ruleset());
         #[cfg(feature = "telemetry")]
         {
             let mut total = 0u64;
-            for (name, n) in &hits {
+            for (name, n) in &out.hits {
                 absort_telemetry::counter_add(
                     &format!("compile.pass.rewrite.rule.{name}"),
                     u64::from(*n),
                 );
                 total += u64::from(*n);
             }
-            absort_telemetry::counter_add("compile.pass.rewrite.applied", total);
+            absort_telemetry::counter_add_many(&[
+                ("compile.pass.rewrite.applied", total),
+                ("compile.pass.rewrite.rounds", u64::from(out.rounds)),
+                ("compile.pass.rewrite.attempts", out.attempts),
+            ]);
         }
-        let _ = &hits;
+        let _ = &out;
     }
 }
 
-/// Runs the fixpoint rewrite with an explicit ruleset; returns the
-/// per-rule application counts (also merged into
-/// [`CompileIr::rewrite_hits`]).
-pub fn rewrite_ir(ir: &mut CompileIr, set: &RuleSet) -> Vec<(String, u32)> {
+/// What one [`rewrite_ir`] call did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RewriteOutcome {
+    /// Per-rule application counts, by rule name.
+    pub hits: Vec<(String, u32)>,
+    /// Fixpoint rounds scanned, the final confirming round included.
+    pub rounds: u32,
+    /// Rule attempts made past the anchor index (one per rule tried on
+    /// a live op of the rule's anchor class).
+    pub attempts: u64,
+}
+
+/// Runs the fixpoint rewrite with an explicit ruleset. The per-rule
+/// hits, rounds and attempts are also added to the IR's running totals
+/// ([`CompileIr::rewrite_hits`], [`CompileIr::rewrite_rounds`],
+/// [`CompileIr::rewrite_attempts`]).
+pub fn rewrite_ir(ir: &mut CompileIr, set: &RuleSet) -> RewriteOutcome {
+    let matcher = Matcher::new(set);
     let mut totals: BTreeMap<String, u32> = BTreeMap::new();
+    let (mut rounds, mut attempts) = (0u32, 0u64);
     for _ in 0..MAX_ROUNDS {
-        let (apps, next_val) = scan_round(ir, set);
+        let (apps, next_val, tried) = scan_round(ir, set, &matcher);
+        rounds += 1;
+        attempts += tried;
         if apps.is_empty() {
             break;
         }
@@ -105,7 +138,109 @@ pub fn rewrite_ir(ir: &mut CompileIr, set: &RuleSet) -> Vec<(String, u32)> {
             None => ir.rewrite_hits.push((name.clone(), *n)),
         }
     }
-    hits
+    ir.rewrite_rounds += rounds;
+    ir.rewrite_attempts += attempts;
+    RewriteOutcome {
+        hits,
+        rounds,
+        attempts,
+    }
+}
+
+// --- anchor index -------------------------------------------------------
+
+/// Anchor classes: `not`, `mux`, `demux`, `sw2`, `cmp`, then one per
+/// gate op.
+const N_ANCHORS: usize = 5 + 6;
+
+fn gate_class(g: GateOp) -> usize {
+    5 + match g {
+        GateOp::And => 0,
+        GateOp::Or => 1,
+        GateOp::Xor => 2,
+        GateOp::Nand => 3,
+        GateOp::Nor => 4,
+        GateOp::Xnor => 5,
+    }
+}
+
+/// Anchor class of a rule's root-0 term (`None` for terms that cannot
+/// anchor: variables, constants, rhs-only LUT legs).
+fn node_class(node: &PatNode) -> Option<usize> {
+    Some(match *node {
+        PatNode::Not(_) => 0,
+        PatNode::Mux(..) => 1,
+        PatNode::DemuxLeg(..) => 2,
+        PatNode::Switch2Leg(..) => 3,
+        PatNode::BitCompareLeg(..) => 4,
+        PatNode::Gate(g, ..) => gate_class(g),
+        PatNode::Var(_) | PatNode::Const(_) | PatNode::Lut2Leg(..) => return None,
+    })
+}
+
+/// Anchor class of an IR op (`None` for constants and 4×4 switches,
+/// which no declarative rule anchors on).
+fn op_class(kind: &IrKind) -> Option<usize> {
+    Some(match *kind {
+        IrKind::Not { .. } => 0,
+        IrKind::Mux { .. } => 1,
+        IrKind::Demux { .. } => 2,
+        IrKind::Switch2 { .. } => 3,
+        IrKind::BitCompare { .. } => 4,
+        IrKind::Gate { op, .. } => gate_class(op),
+        IrKind::Const { .. } | IrKind::Switch4 { .. } => return None,
+    })
+}
+
+/// The ruleset compiled for one [`rewrite_ir`] call.
+struct Matcher<'r> {
+    /// Rules per anchor class, in file order within each bucket.
+    buckets: [Vec<&'r Rule>; N_ANCHORS],
+    /// Widest rule's variable count (sizes `Scratch::bind`).
+    n_vars: usize,
+}
+
+impl<'r> Matcher<'r> {
+    fn new(set: &'r RuleSet) -> Matcher<'r> {
+        let mut buckets: [Vec<&Rule>; N_ANCHORS] = Default::default();
+        let mut n_vars = 0;
+        for rule in &set.rules {
+            let root0 = rule.lhs.nodes[rule.lhs.roots[0] as usize];
+            if let Some(c) = node_class(&root0) {
+                buckets[c].push(rule);
+            }
+            n_vars = n_vars.max(usize::from(rule.lhs.n_vars()));
+        }
+        Matcher { buckets, n_vars }
+    }
+}
+
+/// Match state reused across every attempt of a round.
+struct Scratch {
+    /// Pattern variable → bound value.
+    bind: Vec<Option<ValId>>,
+    /// Variables bound by the current attempt, in binding order.
+    trail: Vec<u8>,
+    /// Every op index the current attempt visited.
+    matched: Vec<u32>,
+    /// The current attempt's root-leg values.
+    roots: Vec<ValId>,
+}
+
+impl Scratch {
+    /// Save point: trail and visited-op lengths.
+    fn mark(&self) -> (usize, usize) {
+        (self.trail.len(), self.matched.len())
+    }
+
+    /// Unbinds every variable bound since `at` and forgets the ops
+    /// visited since then.
+    fn undo(&mut self, at: (usize, usize)) {
+        for v in self.trail.drain(at.0..) {
+            self.bind[v as usize] = None;
+        }
+        self.matched.truncate(at.1);
+    }
 }
 
 // --- per-round IR index -------------------------------------------------
@@ -157,7 +292,7 @@ struct Index {
     /// crediting dead interiors would overstate a match's net gain.
     live_op: Vec<bool>,
     /// Structural key → earliest op index computing it.
-    keys: HashMap<OpKey, u32>,
+    keys: FastMap<OpKey, u32>,
 }
 
 impl Index {
@@ -168,7 +303,7 @@ impl Index {
             const_of: vec![None; n],
             use_count: vec![0; n],
             live_op: vec![false; ir.ops.len()],
-            keys: HashMap::with_capacity(ir.ops.len()),
+            keys: FastMap::with_capacity_and_hasher(ir.ops.len(), Default::default()),
         };
         for (i, op) in ir.ops.iter().enumerate() {
             for (leg, &d) in op.defs().iter().enumerate() {
@@ -237,23 +372,41 @@ struct App {
     net: usize,
 }
 
-fn scan_round(ir: &CompileIr, set: &RuleSet) -> (Vec<App>, u32) {
+/// One scan: the round's matches, the next fresh value id, and the
+/// number of rule attempts made.
+fn scan_round(ir: &CompileIr, set: &RuleSet, matcher: &Matcher) -> (Vec<App>, u32, u64) {
     let idx = Index::build(ir);
     let mut apps: Vec<App> = Vec::new();
     // Root ops already claimed for deletion/substitution this round: a
     // later match may reuse them as interiors (sound — both rewrites
     // preserve each substituted value's function) but not as roots
     // (that would substitute the same value twice).
-    let mut consumed: HashSet<u32> = HashSet::new();
+    let mut consumed = vec![false; ir.ops.len()];
     let mut next_val = ir.n_vals;
+    let mut attempts = 0u64;
+    let mut scratch = Scratch {
+        bind: vec![None; matcher.n_vars],
+        trail: Vec::new(),
+        matched: Vec::new(),
+        roots: Vec::new(),
+    };
     let ctx = Ctx { ir, idx: &idx };
-    for i in 0..ir.ops.len() as u32 {
-        if consumed.contains(&i) {
+    for (i, op) in ir.ops.iter().enumerate() {
+        // A root-0 match roots at op `i` itself, which must be live and
+        // unclaimed — skipping such ops up front changes no outcome.
+        if consumed[i] || !idx.live_op[i] {
             continue;
         }
-        for rule in &set.rules {
-            if let Some(app) = ctx.try_rule(i, rule, &consumed, &mut next_val) {
-                consumed.extend(app.deleted.iter().copied());
+        let Some(class) = op_class(&op.kind) else {
+            continue;
+        };
+        for rule in &matcher.buckets[class] {
+            attempts += 1;
+            if let Some(app) = ctx.try_rule(i as u32, rule, &consumed, &mut next_val, &mut scratch)
+            {
+                for &d in &app.deleted {
+                    consumed[d as usize] = true;
+                }
                 apps.push(app);
                 break;
             }
@@ -273,13 +426,15 @@ fn scan_round(ir: &CompileIr, set: &RuleSet) -> (Vec<App>, u32) {
     // keeps the tape monotone across opt levels even when only one
     // LUT-pair match exists in the whole circuit.
     let revived = |apps: &[App]| {
-        let mut set: HashSet<ValId> = HashSet::new();
+        let mut set: Vec<ValId> = Vec::new();
         for a in apps {
             for op in &a.new_ops {
                 op.kind.for_each_use(|v| {
-                    if (v == ir.const_false || v == ir.const_true) && idx.use_count[v as usize] == 0
+                    if (v == ir.const_false || v == ir.const_true)
+                        && idx.use_count[v as usize] == 0
+                        && !set.contains(&v)
                     {
-                        set.insert(v);
+                        set.push(v);
                     }
                 });
             }
@@ -301,7 +456,7 @@ fn scan_round(ir: &CompileIr, set: &RuleSet) -> (Vec<App>, u32) {
         });
         debug_assert!(revived(&apps).is_empty());
     }
-    (apps, next_val)
+    (apps, next_val, attempts)
 }
 
 struct Ctx<'a> {
@@ -322,20 +477,14 @@ impl Ctx<'_> {
     }
 
     /// Matches `pat[r]` against the producer of `val`, extending the
-    /// bindings and recording every op index visited.
-    fn match_term(
-        &self,
-        pat: &Pattern,
-        r: PatRef,
-        val: ValId,
-        b: &mut Vec<Option<ValId>>,
-        matched: &mut Vec<u32>,
-    ) -> bool {
+    /// bindings (trailed) and recording every op index visited.
+    fn match_term(&self, pat: &Pattern, r: PatRef, val: ValId, sc: &mut Scratch) -> bool {
         match pat.nodes[r as usize] {
-            PatNode::Var(i) => match b[i as usize] {
+            PatNode::Var(i) => match sc.bind[i as usize] {
                 Some(v) => v == val,
                 None => {
-                    b[i as usize] = Some(val);
+                    sc.bind[i as usize] = Some(val);
+                    sc.trail.push(i);
                     true
                 }
             },
@@ -348,65 +497,55 @@ impl Ctx<'_> {
                     return false;
                 }
                 let op = &self.ir.ops[i as usize];
-                let two = |this: &Self,
-                           pa: PatRef,
-                           pb: PatRef,
-                           a: ValId,
-                           bb: ValId,
-                           b: &mut Vec<Option<ValId>>,
-                           matched: &mut Vec<u32>| {
-                    this.match_term(pat, pa, a, b, matched)
-                        && this.match_term(pat, pb, bb, b, matched)
-                };
                 let ok = match (node, op.kind) {
-                    (PatNode::Not(pa), IrKind::Not { a }) => {
-                        self.match_term(pat, pa, a, b, matched)
-                    }
-                    (PatNode::Gate(pg, pa, pb), IrKind::Gate { op: g, a, b: bb }) if pg == g => {
-                        // Every GateOp is commutative: try both operand
-                        // orders, backtracking the bindings in between.
-                        let save_b = b.clone();
-                        let save_m = matched.len();
-                        if two(self, pa, pb, a, bb, b, matched) {
-                            true
-                        } else {
-                            *b = save_b;
-                            matched.truncate(save_m);
-                            two(self, pa, pb, bb, a, b, matched)
-                        }
+                    (PatNode::Not(pa), IrKind::Not { a }) => self.match_term(pat, pa, a, sc),
+                    (PatNode::Gate(pg, pa, pb), IrKind::Gate { op: g, a, b }) if pg == g => {
+                        // Every GateOp is commutative.
+                        self.match_commutative(pat, pa, pb, a, b, sc)
                     }
                     (PatNode::Mux(ps, pa1, pa0), IrKind::Mux { s, a1, a0 }) => {
-                        self.match_term(pat, ps, s, b, matched)
-                            && self.match_term(pat, pa1, a1, b, matched)
-                            && self.match_term(pat, pa0, a0, b, matched)
+                        self.match_term(pat, ps, s, sc)
+                            && self.match_term(pat, pa1, a1, sc)
+                            && self.match_term(pat, pa0, a0, sc)
                     }
                     (PatNode::DemuxLeg(_, ps, px), IrKind::Demux { s, x }) => {
-                        two(self, ps, px, s, x, b, matched)
+                        self.match_term(pat, ps, s, sc) && self.match_term(pat, px, x, sc)
                     }
-                    (PatNode::Switch2Leg(_, ps, pa, pb), IrKind::Switch2 { s, a, b: bb }) => {
-                        self.match_term(pat, ps, s, b, matched)
-                            && self.match_term(pat, pa, a, b, matched)
-                            && self.match_term(pat, pb, bb, b, matched)
+                    (PatNode::Switch2Leg(_, ps, pa, pb), IrKind::Switch2 { s, a, b }) => {
+                        self.match_term(pat, ps, s, sc)
+                            && self.match_term(pat, pa, a, sc)
+                            && self.match_term(pat, pb, b, sc)
                     }
-                    (PatNode::BitCompareLeg(_, pa, pb), IrKind::BitCompare { a, b: bb }) => {
-                        let save_b = b.clone();
-                        let save_m = matched.len();
-                        if two(self, pa, pb, a, bb, b, matched) {
-                            true
-                        } else {
-                            *b = save_b;
-                            matched.truncate(save_m);
-                            two(self, pa, pb, bb, a, b, matched)
-                        }
+                    (PatNode::BitCompareLeg(_, pa, pb), IrKind::BitCompare { a, b }) => {
+                        self.match_commutative(pat, pa, pb, a, b, sc)
                     }
                     _ => false,
                 };
                 if ok {
-                    matched.push(i);
+                    sc.matched.push(i);
                 }
                 ok
             }
         }
+    }
+
+    /// Matches `(pa, pb)` against `(a, b)`, then — after undoing the
+    /// first try's bindings and visits — against `(b, a)`.
+    fn match_commutative(
+        &self,
+        pat: &Pattern,
+        pa: PatRef,
+        pb: PatRef,
+        a: ValId,
+        b: ValId,
+        sc: &mut Scratch,
+    ) -> bool {
+        let at = sc.mark();
+        if self.match_term(pat, pa, a, sc) && self.match_term(pat, pb, b, sc) {
+            return true;
+        }
+        sc.undo(at);
+        self.match_term(pat, pa, b, sc) && self.match_term(pat, pb, a, sc)
     }
 
     /// Resolves a *ground* term (all variables bound) to an existing IR
@@ -428,9 +567,9 @@ impl Ctx<'_> {
             }),
             PatNode::Lut2Leg(..) => None, // lhs-only path; luts are rhs-only
             _ => {
-                let kids = node.children();
+                let (kids, arity) = node.children();
                 let mut vals = [0 as ValId; 3];
-                for (k, &c) in kids.iter().enumerate() {
+                for (k, &c) in kids[..arity].iter().enumerate() {
                     vals[k] = self.resolve_ground(pat, c, b, matched)?;
                 }
                 let kind = match node {
@@ -469,53 +608,43 @@ impl Ctx<'_> {
         }
     }
 
-    /// Attempts `rule` with its first LHS root anchored at op `i`.
+    /// Attempts `rule` with its first LHS root anchored at op `i`, whose
+    /// anchor class matches the rule's (the caller's bucket guarantees
+    /// it).
     fn try_rule(
         &self,
         i: u32,
         rule: &Rule,
-        consumed: &HashSet<u32>,
+        consumed: &[bool],
         next_val: &mut u32,
+        sc: &mut Scratch,
     ) -> Option<App> {
         let ir = self.ir;
         let r0 = rule.lhs.roots[0];
-        let node0 = rule.lhs.nodes[r0 as usize];
-        let leg0 = Self::root_leg(&node0) as usize;
+        let leg0 = Self::root_leg(&rule.lhs.nodes[r0 as usize]) as usize;
         let op0 = &ir.ops[i as usize];
         if leg0 >= op0.kind.n_defs() {
             return None;
         }
-        // Cheap anchor-kind gate before allocating any match state.
-        let kind_ok = match (node0, op0.kind) {
-            (PatNode::Not(_), IrKind::Not { .. })
-            | (PatNode::Mux(..), IrKind::Mux { .. })
-            | (PatNode::DemuxLeg(..), IrKind::Demux { .. })
-            | (PatNode::Switch2Leg(..), IrKind::Switch2 { .. })
-            | (PatNode::BitCompareLeg(..), IrKind::BitCompare { .. }) => true,
-            (PatNode::Gate(pg, ..), IrKind::Gate { op: g, .. }) => pg == g,
-            _ => false,
-        };
-        if !kind_ok {
-            return None;
-        }
         let anchor = op0.defs[leg0];
-        let mut b: Vec<Option<ValId>> = vec![None; rule.lhs.n_vars() as usize];
-        let mut matched: Vec<u32> = Vec::new();
-        if !self.match_term(&rule.lhs, r0, anchor, &mut b, &mut matched) {
+        sc.undo((0, 0));
+        if !self.match_term(&rule.lhs, r0, anchor, sc) {
             return None;
         }
         // Companion roots resolve as ground terms (every variable
         // appears in root 0 by rule validation).
-        let mut root_vals = vec![anchor];
+        sc.roots.clear();
+        sc.roots.push(anchor);
         for &r in &rule.lhs.roots[1..] {
-            root_vals.push(self.resolve_ground(&rule.lhs, r, &b, &mut matched)?);
+            let v = self.resolve_ground(&rule.lhs, r, &sc.bind, &mut sc.matched)?;
+            sc.roots.push(v);
         }
         // Root ops (producers of the substituted values) with their
         // covered legs; none may already be claimed by another match.
         let mut root_ops: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        for &v in &root_vals {
+        for &v in &sc.roots {
             let (oi, leg) = self.idx.def_site[v as usize]?;
-            if consumed.contains(&oi) || !self.idx.live_op[oi as usize] {
+            if consumed[oi as usize] || !self.idx.live_op[oi as usize] {
                 return None;
             }
             root_ops.entry(oi).or_default().push(leg);
@@ -526,14 +655,14 @@ impl Ctx<'_> {
         let mut builder = RhsBuilder {
             ctx: self,
             consumed,
-            local: HashMap::new(),
+            local: FastMap::default(),
             new_ops: Vec::new(),
             insert_at,
             next_val: *next_val,
         };
         let mut rhs_vals = Vec::with_capacity(rule.rhs.roots.len());
         for &r in &rule.rhs.roots {
-            rhs_vals.push(builder.build(&rule.rhs, r, &b)?);
+            rhs_vals.push(builder.build(&rule.rhs, r, &sc.bind)?);
         }
         // Deletion: a root op goes away iff every leg is substituted or
         // already unused.
@@ -548,7 +677,8 @@ impl Ctx<'_> {
                 deleted.push(oi);
             }
         }
-        let subst: Vec<(ValId, ValId)> = root_vals
+        let subst: Vec<(ValId, ValId)> = sc
+            .roots
             .iter()
             .copied()
             .zip(rhs_vals.iter().copied())
@@ -560,18 +690,17 @@ impl Ctx<'_> {
         // Values that stay externally referenced after the rewrite
         // (substitution targets and new-op operands): interiors whose
         // defs land here are *not* dying, even if all their old uses do.
-        let mut ext: HashSet<ValId> = rhs_vals.iter().copied().collect();
+        let mut ext: Vec<ValId> = rhs_vals;
         for op in &builder.new_ops {
-            op.kind.for_each_use(|v| {
-                ext.insert(v);
-            });
+            op.kind.for_each_use(|v| ext.push(v));
         }
-        let freed = deleted.len() + self.dying_interiors(&matched, &deleted, &ext);
+        let freed = deleted.len() + self.dying_interiors(&sc.matched, &deleted, &ext);
         if freed < builder.new_ops.len() + 1 {
             return None; // not profitable: would not shrink the op list
         }
         let net = freed - builder.new_ops.len();
         *next_val = builder.next_val;
+        let mut matched = sc.matched.clone();
         matched.sort_unstable();
         matched.dedup();
         Some(App {
@@ -590,10 +719,10 @@ impl Ctx<'_> {
     /// match lands. Outputs count as external uses, so output-feeding
     /// interiors never qualify; neither do ops the rewrite itself keeps
     /// referenced (`ext`: substitution targets and new-op operands).
-    fn dying_interiors(&self, matched: &[u32], deleted: &[u32], ext: &HashSet<ValId>) -> usize {
-        let mut dead: HashSet<u32> = deleted.iter().copied().collect();
+    fn dying_interiors(&self, matched: &[u32], deleted: &[u32], ext: &[ValId]) -> usize {
+        let mut dead: Vec<u32> = deleted.to_vec();
         loop {
-            let mut uses_in_dead: HashMap<ValId, u32> = HashMap::new();
+            let mut uses_in_dead: FastMap<ValId, u32> = FastMap::default();
             for &oi in &dead {
                 self.ir.ops[oi as usize]
                     .kind
@@ -611,7 +740,7 @@ impl Ctx<'_> {
                             == uses_in_dead.get(&d).copied().unwrap_or(0)
                 });
                 if gone {
-                    dead.insert(oi);
+                    dead.push(oi);
                     changed = true;
                 }
             }
@@ -626,13 +755,9 @@ impl Ctx<'_> {
     /// const-prop runs first and owns these sites, so this fires only
     /// in pipelines without const-prop — output there stays correct,
     /// with conservative `Rewritten` provenance.)
-    fn builtin_const_select(&self, apps: &mut Vec<App>, consumed: &mut HashSet<u32>) {
+    fn builtin_const_select(&self, apps: &mut Vec<App>, consumed: &mut [bool]) {
         for (i, op) in self.ir.ops.iter().enumerate() {
-            if !self.idx.live_op[i] {
-                continue;
-            }
-            let i = i as u32;
-            if consumed.contains(&i) {
+            if !self.idx.live_op[i] || consumed[i] {
                 continue;
             }
             let IrKind::Switch4 { s1, s0, ins, perms } = op.kind else {
@@ -655,7 +780,8 @@ impl Ctx<'_> {
             if subst.is_empty() {
                 continue;
             }
-            consumed.insert(i);
+            consumed[i] = true;
+            let i = i as u32;
             apps.push(App {
                 rule: "sw4-const-select".to_owned(),
                 matched: vec![i],
@@ -672,20 +798,12 @@ impl Ctx<'_> {
     /// pair compose into one switch with multiplied permutation rows —
     /// applied only when the inner switch dies with the outer one, so
     /// the batch strictly shrinks.
-    fn builtin_compose(
-        &self,
-        apps: &mut Vec<App>,
-        consumed: &mut HashSet<u32>,
-        next_val: &mut u32,
-    ) {
+    fn builtin_compose(&self, apps: &mut Vec<App>, consumed: &mut [bool], next_val: &mut u32) {
         'outer: for (i, op) in self.ir.ops.iter().enumerate() {
-            if !self.idx.live_op[i] {
+            if !self.idx.live_op[i] || consumed[i] {
                 continue;
             }
             let i = i as u32;
-            if consumed.contains(&i) {
-                continue;
-            }
             let IrKind::Switch4 { s1, s0, ins, perms } = op.kind else {
                 continue;
             };
@@ -703,7 +821,7 @@ impl Ctx<'_> {
                 src[j] = leg;
             }
             let ai = inner.unwrap();
-            if ai == i || consumed.contains(&ai) {
+            if ai == i || consumed[ai as usize] {
                 continue;
             }
             let IrKind::Switch4 {
@@ -775,8 +893,8 @@ impl Ctx<'_> {
                 // Outer deleted now, inner dies in DCE, one created.
                 net: 1,
             });
-            consumed.insert(i);
-            consumed.insert(ai);
+            consumed[i as usize] = true;
+            consumed[ai as usize] = true;
         }
     }
 }
@@ -787,8 +905,8 @@ impl Ctx<'_> {
 /// (so the two legs of a LUT pair become one Switch4 op).
 struct RhsBuilder<'a, 'b> {
     ctx: &'a Ctx<'a>,
-    consumed: &'b HashSet<u32>,
-    local: HashMap<OpKey, [ValId; 4]>,
+    consumed: &'b [bool],
+    local: FastMap<OpKey, [ValId; 4]>,
     new_ops: Vec<IrOp>,
     insert_at: u32,
     next_val: u32,
@@ -802,9 +920,9 @@ impl RhsBuilder<'_, '_> {
             PatNode::Var(i) => b[i as usize],
             PatNode::Const(v) => Some(if v { ir.const_true } else { ir.const_false }),
             _ => {
-                let kids = node.children();
+                let (kids, arity) = node.children();
                 let mut vals = [0 as ValId; 3];
-                for (k, &c) in kids.iter().enumerate() {
+                for (k, &c) in kids[..arity].iter().enumerate() {
                     vals[k] = self.build(pat, c, b)?;
                 }
                 let (kind, leg) = match node {
@@ -869,7 +987,7 @@ impl RhsBuilder<'_, '_> {
                 // the rewrite's cost column unaccounted).
                 if let Some(&j) = self.ctx.idx.keys.get(&key) {
                     if j < self.insert_at
-                        && !self.consumed.contains(&j)
+                        && !self.consumed[j as usize]
                         && self.ctx.idx.live_op[j as usize]
                     {
                         let op = &ir.ops[j as usize];
@@ -927,18 +1045,20 @@ fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) {
         }
     }
 
-    let deleted: HashSet<u32> = apps
-        .iter()
-        .flat_map(|a| a.deleted.iter().copied())
-        .collect();
-    let mut subst: HashMap<ValId, ValId> = HashMap::new();
+    let mut deleted = vec![false; ir.ops.len()];
+    for a in &apps {
+        for &d in &a.deleted {
+            deleted[d as usize] = true;
+        }
+    }
+    let mut subst: FastMap<ValId, ValId> = FastMap::default();
     for a in &apps {
         for &(o, n) in &a.subst {
             let prev = subst.insert(o, n);
             debug_assert!(prev.is_none(), "value {o} substituted twice in one round");
         }
     }
-    let mut pending: HashMap<u32, Vec<IrOp>> = HashMap::new();
+    let mut pending: FastMap<u32, Vec<IrOp>> = FastMap::default();
     for a in apps {
         pending.entry(a.insert_at).or_default().extend(a.new_ops);
     }
@@ -949,7 +1069,7 @@ fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) {
         if let Some(list) = pending.remove(&(i as u32)) {
             out.extend(list);
         }
-        if !deleted.contains(&(i as u32)) {
+        if !deleted[i] {
             out.push(op);
         }
     }
@@ -973,4 +1093,157 @@ fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) {
         *o = resolve(*o);
     }
     ir.ops = out;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::lower;
+    use crate::{Builder, Circuit, Wire};
+
+    fn parse(rules: &str) -> RuleSet {
+        RuleSet::parse(&format!("# absort-ruleset v1\n{rules}")).unwrap()
+    }
+
+    /// `out = not(not(x))` next to an unrelated AND gate.
+    fn double_not() -> Circuit {
+        let mut b = Builder::new();
+        let x = b.input();
+        let y = b.input();
+        let nx = b.not(x);
+        let nnx = b.not(nx);
+        let g = b.and(x, y);
+        b.outputs(&[nnx, g]);
+        b.finish()
+    }
+
+    fn hits(c: &Circuit, set: &RuleSet) -> Vec<(String, u32)> {
+        rewrite_ir(&mut lower(c), set).hits
+    }
+
+    #[test]
+    fn earlier_rule_in_file_order_wins_within_a_bucket() {
+        let one = |n: &str| vec![(n.to_owned(), 1)];
+        // Both `not` rules match the chain; an `and` rule sits between
+        // them in the file but lives in another bucket.
+        let first = parse(
+            "rule first: (not (not x)) => x\n\
+             rule and-rule: (and x (not x)) => 0\n\
+             rule second: (not (not x)) => x\n",
+        );
+        assert_eq!(hits(&double_not(), &first), one("first"));
+        let second = parse(
+            "rule second: (not (not x)) => x\n\
+             rule first: (not (not x)) => x\n",
+        );
+        assert_eq!(hits(&double_not(), &second), one("second"));
+        // A bucket-mate that does not match leaves the win to the next.
+        let skip = parse(
+            "rule miss: (not (not (not x))) => (not x)\n\
+             rule second: (not (not x)) => x\n",
+        );
+        assert_eq!(hits(&double_not(), &skip), one("second"));
+    }
+
+    #[test]
+    fn commutative_match_backtracks_its_bindings() {
+        // `(and x (not x))` against `and(not a, a)`: the first operand
+        // order binds x = `not a` and fails, so the second order must
+        // start from clean bindings to find x = a.
+        let set = parse("rule contra: (and x (not x)) => 0\n");
+        for swap in [false, true] {
+            let mut b = Builder::new();
+            let a = b.input();
+            let na = b.not(a);
+            let g = if swap { b.and(a, na) } else { b.and(na, a) };
+            b.outputs(&[g]);
+            assert_eq!(
+                hits(&b.finish(), &set),
+                vec![("contra".to_owned(), 1)],
+                "swap = {swap}"
+            );
+        }
+    }
+
+    /// A seeded random DAG over every op kind the ruleset anchors on,
+    /// with operands drawn from a small pool so shared, idempotent and
+    /// paired subterms (the rules' food) are common.
+    fn random_dag(seed: u64) -> Circuit {
+        let mut s = seed;
+        let mut next = move |n: usize| {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut b = Builder::new();
+        let mut w: Vec<Wire> = b.input_bus(4);
+        w.push(b.constant(false));
+        w.push(b.constant(true));
+        let gates = [
+            GateOp::And,
+            GateOp::Or,
+            GateOp::Xor,
+            GateOp::Nand,
+            GateOp::Nor,
+            GateOp::Xnor,
+        ];
+        for _ in 0..120 {
+            // Operands from the 12 most recent wires.
+            let lo = w.len().saturating_sub(12);
+            let mut pick = || w[lo + next(w.len() - lo)];
+            let (p, q, r) = (pick(), pick(), pick());
+            match next(6) {
+                0 => w.push(b.not(p)),
+                1 | 2 => w.push(b.gate(gates[next(gates.len())], p, q)),
+                3 => w.push(b.mux2(p, q, r)),
+                4 => {
+                    let (o0, o1) = b.demux2(p, q);
+                    w.extend([o0, o1]);
+                }
+                _ => {
+                    let (o0, o1) = if next(2) == 0 {
+                        b.switch2(p, q, r)
+                    } else {
+                        b.bit_compare(p, q)
+                    };
+                    w.extend([o0, o1]);
+                }
+            }
+        }
+        let outs: Vec<Wire> = w[w.len() - 16..].to_vec();
+        b.outputs(&outs);
+        b.finish()
+    }
+
+    #[test]
+    fn moving_rules_across_anchor_kinds_changes_nothing() {
+        let set = default_ruleset();
+        // Reverse the anchor-class order, keeping file order within
+        // each class.
+        let mut moved = set.clone();
+        moved.rules.sort_by_key(|r| {
+            let root0 = r.lhs.nodes[r.lhs.roots[0] as usize];
+            std::cmp::Reverse(node_class(&root0))
+        });
+        assert_ne!(moved.rules, set.rules, "the move must reorder the file");
+        let mut fired: Vec<String> = Vec::new();
+        for seed in 0..24 {
+            let c = random_dag(seed);
+            let (mut a, mut b) = (lower(&c), lower(&c));
+            let ha = rewrite_ir(&mut a, set);
+            let hb = rewrite_ir(&mut b, &moved);
+            assert_eq!(ha, hb, "seed {seed}: hit table or effort changed");
+            assert_eq!(a.ops, b.ops, "seed {seed}: rewritten ops changed");
+            assert_eq!(a.outputs, b.outputs, "seed {seed}: outputs changed");
+            fired.extend(ha.hits.into_iter().map(|(name, _)| name));
+        }
+        fired.sort();
+        fired.dedup();
+        assert!(
+            fired.len() >= 10,
+            "corpus must exercise several rules, fired only {fired:?}"
+        );
+    }
 }

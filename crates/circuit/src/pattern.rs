@@ -61,17 +61,18 @@ pub enum PatNode {
 }
 
 impl PatNode {
-    /// Operand children, in operand order.
-    pub fn children(&self) -> Vec<PatRef> {
+    /// Operand children in operand order: the first `arity` entries of
+    /// the array (the rest are zero). Allocation-free, for the matcher.
+    pub fn children(&self) -> ([PatRef; 3], usize) {
         match *self {
-            PatNode::Var(_) | PatNode::Const(_) => vec![],
-            PatNode::Not(a) => vec![a],
+            PatNode::Var(_) | PatNode::Const(_) => ([0; 3], 0),
+            PatNode::Not(a) => ([a, 0, 0], 1),
             PatNode::Gate(_, a, b)
             | PatNode::DemuxLeg(_, a, b)
             | PatNode::BitCompareLeg(_, a, b)
-            | PatNode::Lut2Leg(_, _, a, b) => vec![a, b],
-            PatNode::Mux(s, a1, a0) => vec![s, a1, a0],
-            PatNode::Switch2Leg(_, s, a, b) => vec![s, a, b],
+            | PatNode::Lut2Leg(_, _, a, b) => ([a, b, 0], 2),
+            PatNode::Mux(s, a1, a0) => ([s, a1, a0], 3),
+            PatNode::Switch2Leg(_, s, a, b) => ([s, a, b], 3),
         }
     }
 }
@@ -118,8 +119,9 @@ impl Pattern {
                     out.push(i);
                 }
             }
-            _ => {
-                for c in self.nodes[root as usize].children() {
+            node => {
+                let (kids, arity) = node.children();
+                for &c in &kids[..arity] {
                     self.vars_of(c, out);
                 }
             }
@@ -137,7 +139,8 @@ impl Pattern {
                 return;
             }
             live[r as usize] = true;
-            for c in p.nodes[r as usize].children() {
+            let (kids, arity) = p.nodes[r as usize].children();
+            for &c in &kids[..arity] {
                 mark(p, c, live);
             }
         }

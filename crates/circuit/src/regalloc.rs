@@ -257,6 +257,8 @@ pub fn allocate_with(ir: &CompileIr, par_safe: bool) -> CompiledCircuit {
         source_components: ir.source_components() as u32,
         pass_stats: Vec::new(),
         rewrite_hits: ir.rewrite_hits.clone(),
+        rewrite_rounds: ir.rewrite_rounds,
+        rewrite_attempts: ir.rewrite_attempts,
         fused_pairs: Vec::new(),
         s4_chains: Vec::new(),
         s4_items: Vec::new(),

@@ -203,6 +203,9 @@ fn inspect_reports_pass_stats() {
         assert!(s.contains(pass), "missing {pass} row: {s}");
     }
     assert!(s.contains("slots"), "{s}");
+    // The rewrite pass's effort sits beside its per-rule hit table.
+    assert!(s.contains("rewrite: rounds 2, rule attempts "), "{s}");
+    assert!(s.contains("rewrite rule hits:"), "{s}");
 
     // O0 compiles without any optional pass rows.
     let o0 = run(&[

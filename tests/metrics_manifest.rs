@@ -99,6 +99,12 @@ fn inspect_writes_valid_manifest() {
     assert!(counter("build.components") > 0);
     assert!(counter("build.wires") > counter("build.components"));
 
+    // The rewrite pass reports its effort beside its hits: one round
+    // that applies matches, one confirming round that applies none.
+    assert_eq!(counter("compile.pass.rewrite.rounds"), 2);
+    assert!(counter("compile.pass.rewrite.attempts") > counter("compile.pass.rewrite.applied"));
+    assert!(counter("compile.pass.rewrite.applied") > 0);
+
     // The inspect command also records what it measured.
     let circuit = m.get("circuit").expect("circuit section");
     assert_eq!(

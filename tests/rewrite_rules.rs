@@ -190,6 +190,74 @@ fn rewrite_reports_pass_stats_and_rule_hits() {
     assert!(cc.rewrite_hits().iter().all(|(_, hits)| *hits > 0));
 }
 
+/// The matcher's exact output, pinned: tape length and the full
+/// per-rule hit table of every catalog network at n = 64 and 256 under
+/// the default options (values captured before the anchor-indexed
+/// matcher replaced the file-order scan). "Shrinks by ≥ 5%" alone would
+/// let a matcher that finds different matches pass. The O0+rewrite fish
+/// rows pin the rules that fire only where const-prop and CSE have not
+/// run first.
+#[test]
+fn rewrite_output_is_pinned_exactly() {
+    type Pin<'a> = (&'a str, usize, usize, &'a [(&'a str, u32)]);
+    let default: [Pin; 8] = [
+        ("prefix", 64, 1162, &[("pair-and-xor", 168)]),
+        ("mux-merger", 64, 321, &[]),
+        ("fish", 64, 1693, &[("pair-and-xor", 132)]),
+        ("batcher", 64, 672, &[]),
+        ("prefix", 256, 6273, &[("pair-and-xor", 709)]),
+        ("mux-merger", 256, 1793, &[]),
+        ("fish", 256, 11495, &[("pair-and-xor", 612)]),
+        ("batcher", 256, 4608, &[]),
+    ];
+    let fish_o0: [Pin; 2] = [
+        (
+            "fish",
+            64,
+            2438,
+            &[
+                ("and-idem", 6),
+                ("pair-and-xor", 201),
+                ("syn-or-and-x-x-y", 6),
+                ("syn-xor-x-x", 12),
+            ],
+        ),
+        (
+            "fish",
+            256,
+            15948,
+            &[
+                ("and-idem", 16),
+                ("pair-and-xor", 924),
+                ("syn-or-and-x-x-y", 16),
+                ("syn-xor-x-x", 24),
+            ],
+        ),
+    ];
+    let mut rw_only = CompileOptions::for_level(OptLevel::O0);
+    rw_only.passes = rw_only.passes.with(PassName::Rewrite);
+    let runs = [
+        ("default", CompileOptions::default(), &default[..]),
+        ("O0+rewrite", rw_only, &fish_o0[..]),
+    ];
+    for (vname, opts, pins) in runs {
+        for &(name, n, len, hits) in pins {
+            let (_, circuit) = catalog(n)
+                .into_iter()
+                .find(|(c, _)| *c == name)
+                .expect("pinned network is in the catalog");
+            let cc = circuit.compile_with(&opts);
+            let hits: Vec<(String, u32)> = hits.iter().map(|&(r, h)| (r.to_owned(), h)).collect();
+            assert_eq!(cc.tape().len(), len, "{name} n={n} {vname}: tape length");
+            assert_eq!(
+                cc.rewrite_hits(),
+                &hits[..],
+                "{name} n={n} {vname}: hit table"
+            );
+        }
+    }
+}
+
 fn ruleset_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../circuit/rules/absort.rules")
 }
