@@ -1,14 +1,15 @@
 //! Substrate throughput: the enum-dispatch interpreter vs the compiled
 //! register-allocated micro-op tape, each through the scalar, 64-lane
 //! bit-parallel, and crossbeam-parallel batch paths — the engines behind
-//! the exhaustive verifiers and fault campaigns.
+//! the exhaustive verifiers and fault campaigns — plus the bool->lane
+//! packing (`pack_wide`, `pack_lanes`) that every batch call pays first.
 //!
 //! Function names are digit-free (`interp_lanes`, `compiled_lanes`, …)
 //! so the shim's substring filter can select a size by its parameter:
 //! `cargo bench --bench eval_engines -- compiled_lanes/256`.
 
 use absort_bench::bench_bits;
-use absort_circuit::eval::pack_lanes;
+use absort_circuit::eval::{pack_lanes, pack_lanes_wide};
 use absort_circuit::{CompiledEvaluator, Evaluator};
 use absort_core::muxmerge;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -23,6 +24,21 @@ fn bench_eval_engines(c: &mut Criterion) {
         // the bool<->lane conversion the batch API performs.
         let groups: Vec<Vec<u64>> = vectors.chunks(64).map(|ch| pack_lanes(ch, n)).collect();
         g.throughput(Throughput::Elements((vectors.len() * n) as u64));
+
+        // bool->lane packing alone, the step the rows below either skip
+        // (pre-packed) or include (batch API): one 256-lane wide pass,
+        // and four 64-lane passes.
+        g.bench_function(BenchmarkId::new("pack_wide", n), |b| {
+            b.iter(|| pack_lanes_wide::<4>(&vectors, n))
+        });
+        g.bench_function(BenchmarkId::new("pack_lanes", n), |b| {
+            b.iter(|| {
+                vectors
+                    .chunks(64)
+                    .map(|ch| pack_lanes(ch, n))
+                    .collect::<Vec<_>>()
+            })
+        });
 
         // scalar: one vector at a time (256 passes)
         g.bench_function(BenchmarkId::new("interp_scalar", n), |b| {

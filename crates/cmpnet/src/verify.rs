@@ -28,6 +28,17 @@ fn first_unsorted_lane(lanes: &[u64], count: u32) -> Option<u64> {
     }
 }
 
+/// Lane word of input `i < 6` over vectors `0..64`: bit `v` is bit `i`
+/// of `v`.
+const LOW_INPUT_LANES: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
 /// Exhaustively verifies `net` over all `2^n` binary inputs and returns
 /// the first input (as an n-bit little-endian integer: bit `i` = line `i`)
 /// that the network fails to sort, or `None` if the network sorts
@@ -43,13 +54,15 @@ pub fn first_unsorted_input(net: &Network) -> Option<u64> {
     let mut base = 0u64;
     while base < total {
         let count = (total - base).min(64) as u32;
+        // Vector `base + v` for `v < count`: `base` is a multiple of 64,
+        // so input `i < 6` is bit `i` of `v` (a fixed pattern) and input
+        // `i >= 6` is bit `i` of `base`, the same in every lane.
+        let live = u64::MAX >> (64 - count);
         for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = 0;
-            for v in 0..count as u64 {
-                if (base + v) >> i & 1 == 1 {
-                    *lane |= 1 << v;
-                }
-            }
+            *lane = match LOW_INPUT_LANES.get(i) {
+                Some(&pattern) => pattern & live,
+                None => 0u64.wrapping_sub(base >> i & 1),
+            };
         }
         net.apply_binary_lanes(&mut lanes);
         if let Some(v) = first_unsorted_lane(&lanes, count) {
@@ -124,6 +137,86 @@ mod tests {
     fn identity_on_two_lines_fails() {
         let net = Network::new(2);
         assert_eq!(first_unsorted_input(&net), Some(0b01)); // line0=1, line1=0
+    }
+
+    /// The per-bit lane builder the closed form replaced, kept as the
+    /// reference it must agree with.
+    fn first_unsorted_input_reference(net: &Network) -> Option<u64> {
+        let n = net.n();
+        let total: u64 = 1u64 << n;
+        let mut lanes = vec![0u64; n];
+        let mut base = 0u64;
+        while base < total {
+            let count = (total - base).min(64) as u32;
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = 0;
+                for v in 0..count as u64 {
+                    if (base + v) >> i & 1 == 1 {
+                        *lane |= 1 << v;
+                    }
+                }
+            }
+            net.apply_binary_lanes(&mut lanes);
+            if let Some(v) = first_unsorted_lane(&lanes, count) {
+                return Some(base + v);
+            }
+            base += count as u64;
+        }
+        None
+    }
+
+    /// `net` with its `k`-th comparator (in stage order) removed.
+    fn without_comparator(net: &Network, k: usize) -> Network {
+        use crate::network::Stage;
+        let mut out = Network::new(net.n());
+        let mut seen = 0;
+        for st in net.stages() {
+            match st {
+                Stage::Compare(pairs) => {
+                    let kept = pairs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| seen + j != k)
+                        .map(|(_, &p)| p)
+                        .collect();
+                    seen += pairs.len();
+                    out.push_compare(kept);
+                }
+                Stage::Permute(perm) => out.push_permute(perm.clone()),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn closed_form_lanes_match_per_bit_reference() {
+        use crate::{batcher, catalog, fig4, periodic};
+        let mut nets = vec![catalog::fig1()];
+        for n in 1..=12 {
+            nets.push(catalog::odd_even_transposition(n));
+            nets.push(catalog::insertion(n));
+        }
+        for n in [2, 4, 8] {
+            nets.push(batcher::odd_even_merge_sort(n));
+            nets.push(batcher::odd_even_merge(n));
+            nets.push(batcher::bitonic_sort(n));
+            nets.push(fig4::fig4b_sort(n));
+            nets.push(periodic::periodic_balanced_sort(n));
+        }
+        let mut failing = 0;
+        for net in &nets {
+            assert_eq!(
+                first_unsorted_input(net),
+                first_unsorted_input_reference(net)
+            );
+            for k in 0..net.cost() as usize {
+                let cut = without_comparator(net, k);
+                let got = first_unsorted_input(&cut);
+                assert_eq!(got, first_unsorted_input_reference(&cut), "comparator {k}");
+                failing += usize::from(got.is_some());
+            }
+        }
+        assert!(failing > 0, "some cut network must fail to sort");
     }
 
     #[test]
