@@ -557,6 +557,7 @@ fn cmd_inspect(a: &Args) {
             );
             exit(2);
         }
+        require_pow2(n);
         let f = absort::core::FishSorter::with_default_k(n);
         let r = f.report();
         println!("fish sorter n={n} k={}", f.k);
@@ -564,6 +565,13 @@ fn cmd_inspect(a: &Args) {
         println!("  cost (paper eq. 17 bound): {}", r.cost_paper_bound);
         println!("  sorting time serial:       {}", r.time_unpipelined);
         println!("  sorting time pipelined:    {}", r.time_pipelined);
+        // Its combinational k-merger core is a circuit like any other —
+        // the one fault campaigns and library compiles use.
+        let k = absort::analysis::faults::fish_k(n);
+        let c = absort::core::fish::circuits::build_combinational_kmerger(n, k);
+        println!("combinational k-merger core, n = {n}, k = {k}");
+        let cc = c.compile_with(&a.opt);
+        print_compiled(&c, &cc, &a.opt);
         return;
     }
     let c = build_circuit(&a.network, n);
@@ -582,7 +590,20 @@ fn cmd_inspect(a: &Args) {
     println!("hardware profile:");
     print!("{}", c.scope_report(3));
     let cc = c.compile_with(&a.opt);
-    println!("compiled tape (passes: {}):", a.opt.passes.fingerprint());
+    print_compiled(&c, &cc, &a.opt);
+    if a.profile {
+        print_tape_profile(&cc);
+    }
+}
+
+/// The compiled-tape section of `inspect`: the pass table, the rewrite
+/// pass's effort and hits, and the tape's size.
+fn print_compiled(
+    c: &absort::circuit::Circuit,
+    cc: &absort::circuit::CompiledCircuit,
+    opts: &absort::circuit::CompileOptions,
+) {
+    println!("compiled tape (passes: {}):", opts.passes.fingerprint());
     for s in cc.pass_stats() {
         println!(
             "  {:<14} {:>6} -> {:>6} ops  (-{})",
@@ -593,10 +614,16 @@ fn cmd_inspect(a: &Args) {
         );
     }
     if cc.rewrite_rounds() > 0 {
+        let entering = cc
+            .pass_stats()
+            .iter()
+            .find(|s| s.name == "rewrite")
+            .map_or(0, |s| s.ops_before);
         println!(
-            "rewrite: rounds {}, rule attempts {}",
+            "rewrite: rounds {}, rule attempts {}, rescanned {} of {entering} ops",
             cc.rewrite_rounds(),
-            cc.rewrite_attempts()
+            cc.rewrite_attempts(),
+            cc.rewrite_rescanned()
         );
     }
     if !cc.rewrite_hits().is_empty() {
@@ -612,9 +639,6 @@ fn cmd_inspect(a: &Args) {
         c.n_wires(),
         100.0 * cc.slots_saved() as f64 / c.n_wires() as f64
     );
-    if a.profile {
-        print_tape_profile(&cc);
-    }
 }
 
 /// Human `ns` rendering for the profile table (the telemetry crate's

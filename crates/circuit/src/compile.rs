@@ -404,10 +404,11 @@ pub struct CompiledCircuit {
     /// (rule name → hits), empty when the pass did not run or matched
     /// nothing. Surfaced by `absort inspect` and telemetry.
     pub(crate) rewrite_hits: Vec<(String, u32)>,
-    /// Fixpoint rounds and rule attempts of the `rewrite` pass (zero
-    /// when it did not run).
+    /// Fixpoint rounds, rule attempts and rescanned ops of the
+    /// `rewrite` pass (zero when it did not run).
     pub(crate) rewrite_rounds: u32,
     pub(crate) rewrite_attempts: u64,
+    pub(crate) rewrite_rescanned: u64,
     /// Original encodings of [`MicroOp::Pair2`] superinstructions
     /// (empty unless the `fuse` pass ran).
     pub(crate) fused_pairs: Vec<[MicroOp; 2]>,
@@ -838,11 +839,20 @@ impl CompiledCircuit {
         self.rewrite_rounds
     }
 
-    /// Rule attempts the `rewrite` pass made past its anchor index: one
-    /// per rule tried on a live op of the rule's anchor class.
+    /// Rule attempts the `rewrite` pass made past its anchor index and
+    /// operand-shape prefilters: one per rule tried on a live op of the
+    /// rule's anchor class whose operands could match it.
     #[inline]
     pub fn rewrite_attempts(&self) -> u64 {
         self.rewrite_attempts
+    }
+
+    /// Ops the `rewrite` pass visited in rounds after the first (its
+    /// incremental worklist; a full confirming round would visit every
+    /// op). Zero when the pass was disabled or applied nothing.
+    #[inline]
+    pub fn rewrite_rescanned(&self) -> u64 {
+        self.rewrite_rescanned
     }
 
     /// Wire count of the source circuit.

@@ -28,6 +28,33 @@ pub enum Equivalence {
     },
 }
 
+/// Lane word of input `i < 6` over vectors `0..64`: bit `v` is bit `i`
+/// of `v`.
+const LOW_INPUT_LANES: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Lane words of the exhaustive batch of vectors `base..base + count`
+/// (`base` a multiple of 64, `count ≤ 64`; little-endian bit `i` of a
+/// vector = input `i`): inputs below 6 take the fixed pattern of bit
+/// `i` of the lane index, trimmed to the live lanes, and higher inputs
+/// broadcast bit `i` of `base`, the same in every lane.
+fn exhaustive_lanes(base: u64, count: u64, packed: &mut [u64]) {
+    debug_assert!(base % 64 == 0 && (1..=64).contains(&count));
+    let live = u64::MAX >> (64 - count);
+    for (i, lane) in packed.iter_mut().enumerate() {
+        *lane = match LOW_INPUT_LANES.get(i) {
+            Some(&pattern) => pattern & live,
+            None => 0u64.wrapping_sub(base >> i & 1),
+        };
+    }
+}
+
 fn interfaces_match(a: &Circuit, b: &Circuit) {
     assert_eq!(a.n_inputs(), b.n_inputs(), "input arity mismatch");
     assert_eq!(a.n_outputs(), b.n_outputs(), "output arity mismatch");
@@ -66,14 +93,7 @@ pub fn check_exhaustive(a: &Circuit, b: &Circuit) -> Equivalence {
     let mut packed = vec![0u64; i];
     while base < total {
         let count = (total - base).min(64);
-        for (w, p) in packed.iter_mut().enumerate() {
-            *p = 0;
-            for v in 0..count {
-                if (base + v) >> w & 1 == 1 {
-                    *p |= 1 << v;
-                }
-            }
-        }
+        exhaustive_lanes(base, count, &mut packed);
         let oa = eva.run(&packed);
         let ob = evb.run(&packed);
         let mut diff = 0u64;
@@ -170,6 +190,67 @@ mod tests {
                 assert_ne!(witness[0], witness[1]);
             }
             other => panic!("expected Differs, got {other:?}"),
+        }
+    }
+
+    /// The per-bit construction the closed form replaced.
+    fn lanes_per_bit(base: u64, count: u64, packed: &mut [u64]) {
+        for (w, p) in packed.iter_mut().enumerate() {
+            *p = 0;
+            for v in 0..count {
+                if (base + v) >> w & 1 == 1 {
+                    *p |= 1 << v;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_lanes_match_per_bit_reference() {
+        for inputs in 0..=10usize {
+            let total = 1u64 << inputs;
+            let mut base = 0;
+            while base < total {
+                // Full batches and every partial last batch.
+                let count = (total - base).min(64);
+                let (mut got, mut want) = (vec![0; inputs], vec![0; inputs]);
+                exhaustive_lanes(base, count, &mut got);
+                lanes_per_bit(base, count, &mut want);
+                assert_eq!(got, want, "inputs {inputs}, base {base}");
+                base += count;
+            }
+        }
+    }
+
+    #[test]
+    fn witness_is_the_first_differing_input() {
+        // Inputs 0..=10 (partial batches below 6), differing exactly at
+        // one vector: every position of the witness comes back.
+        for inputs in 0..=10usize {
+            for target in [0u64, 1, 5, 63, 64, 100, 1023] {
+                if target >> inputs != 0 {
+                    continue;
+                }
+                let mk = |spoil: bool| {
+                    let mut b = Builder::new();
+                    let ins = b.input_bus(inputs);
+                    // out = [input == target] (constant true with no inputs).
+                    let mut acc = b.constant(true);
+                    for (i, &w) in ins.iter().enumerate() {
+                        let lit = if target >> i & 1 == 1 { w } else { b.not(w) };
+                        acc = b.and(acc, lit);
+                    }
+                    let out = if spoil { acc } else { b.constant(false) };
+                    b.outputs(&[out]);
+                    b.finish()
+                };
+                let want: Vec<bool> = (0..inputs).map(|i| target >> i & 1 == 1).collect();
+                assert_eq!(
+                    check_exhaustive(&mk(true), &mk(false)),
+                    Equivalence::Differs { witness: want },
+                    "inputs {inputs}, target {target}"
+                );
+            }
         }
     }
 

@@ -293,8 +293,11 @@ pub struct CompileIr {
     /// Fixpoint rounds the `rewrite` pass scanned (the final,
     /// confirming round included).
     pub rewrite_rounds: u32,
-    /// Rule attempts the `rewrite` pass made past its anchor index.
+    /// Rule attempts the `rewrite` pass made past its anchor index and
+    /// operand-shape prefilters.
     pub rewrite_attempts: u64,
+    /// Ops the `rewrite` pass visited in rounds after the first.
+    pub rewrite_rescanned: u64,
 }
 
 /// Lowers a netlist into the IR: two canonical constant ops first (so
@@ -404,6 +407,7 @@ pub fn lower(c: &Circuit) -> CompileIr {
         rewrite_hits: Vec::new(),
         rewrite_rounds: 0,
         rewrite_attempts: 0,
+        rewrite_rescanned: 0,
     }
 }
 

@@ -35,12 +35,73 @@
 //! `cmp`, and one class per gate op), keeping file order inside a
 //! bucket, so a live op tries only the rules that can anchor on it — and
 //! the first one that matches is the same rule a full file-order scan
-//! would pick. Matching is allocation-free: one `Scratch` per round
-//! holds the variable bindings, an undo trail (commutative backtracking
-//! unbinds past a save point instead of cloning the bindings) and the
-//! visited-op list, which is copied only when a match is applied. The
-//! per-round structural key map hashes with the in-tree `MulHasher`
-//! (see `passes/mod.rs`).
+//! would pick (the default ruleset is compiled once per process).
+//! Matching is allocation-free: one `Scratch` per round holds the
+//! variable bindings, an undo trail (commutative backtracking unbinds
+//! past a save point instead of cloning the bindings) and the
+//! visited-op list, which is copied only when a match is applied.
+//! Structural-key lookups (companion roots, RHS hash-consing) scan the
+//! per-round consumer list of the key's least-used operand, in op
+//! order, so they find the earliest op with the key, as a key map
+//! would, without hashing every op each round.
+//!
+//! **Operand-shape prefilter.** The per-round index gives every value
+//! a one-byte shape code: its producer's anchor class and output leg,
+//! or const-0, const-1, primary input, or 4×4-switch leg. Each bucketed
+//! rule carries its root 0's operand requirements — any value for a
+//! variable, the constant for a constant, class and leg for a subterm —
+//! plus *links*: places within two levels that root 0 binds to one
+//! variable must be able to hold one value (`(and (and x y) y)` needs
+//! its outer operand among the inner op's two). Commutative kinds pass
+//! in either order. A *sibling-pair* rule — a companion root that is a
+//! different op kind over root 0's own two variables, like
+//! `(and x y), (xor x y)` — is also not attempted on an op whose sorted
+//! operand pair no other gate or comparator reads (the twin bit, looked
+//! up once per op when first needed). All are necessary conditions of a
+//! match, so the first rule that matches stays the same rule; the
+//! attempt counter counts only rules that pass them.
+//!
+//! **Incremental fixpoint.** Round 1 scans every op; later rounds scan
+//! only ops the previous round's rewrites can have changed the outcome
+//! of. A rule attempt at an anchor reads: the structure within its
+//! root-0 depth below the anchor; use counts and liveness of the ops it
+//! matches; and structural-key lookups whose keys are built from values
+//! root 0 binds to variables. After a round is applied the pass *seeds*
+//! values, each with a hop budget, and the next round visits only ops
+//! within the budget of a seed along consumer edges (an op defining a
+//! seed spends none; the largest budget, the deepest root-0 term or 1
+//! with `sw4-compose`, is the pass's radius). The seeds are
+//! * the defs of every op that is new, had an operand substituted, or
+//!   defines a value that lost uses, and of every op a match dropped
+//!   by the round-level constant-revival check had touched (it claimed
+//!   roots other attempts then skipped), with the budget of the deepest
+//!   op a root 0 matches below its anchor;
+//! * for each of those ops, and for each op the round deleted (read in
+//!   the IR before the round: another op with its key may become the
+//!   one lookups find), one of the values it binds to the variables of
+//!   each lookup term it instantiates: an anchor whose lookup finds
+//!   that op binds all of them in its own root 0, so the budget is the
+//!   depth of those variables there. Internal values are preferred to
+//!   primary inputs, and those to constants — the LUT-pair switches all
+//!   read both constants, and seeding those would rescan the tape. Ops
+//!   whose only change is lost uses seed only the terms whose use
+//!   counts an attempt reads: companion interiors and multi-leg
+//!   companion roots.
+//!
+//! Changes that can only make an attempt fail need no seed, since a
+//! skipped op's attempts failed in the previous round already: an op
+//! dying (rewrites reference only live values and constants, so no
+//! other op comes back to life — a debug assertion checks it), a value
+//! gaining uses (deleting or killing its producer gets harder), and an
+//! op losing its old key to a substitution (every reader of the
+//! replaced value is rewritten, so no op keeps that key).
+//!
+//! Constants' own use counts and liveness are read by no attempt (only
+//! by the round-level revival check, whose drops are seeded), so
+//! constant ops are never seeded for them. Skipped ops would yield no
+//! match in a full scan, so the filtered round yields exactly the full
+//! scan's matches (a unit test checks this on every round). A ruleset
+//! with a variable-free lookup term keeps full rescans.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -93,6 +154,7 @@ impl Pass for Rewrite {
                 ("compile.pass.rewrite.applied", total),
                 ("compile.pass.rewrite.rounds", u64::from(out.rounds)),
                 ("compile.pass.rewrite.attempts", out.attempts),
+                ("compile.pass.rewrite.rescanned", out.rescanned),
             ]);
         }
         let _ = &out;
@@ -106,30 +168,80 @@ pub struct RewriteOutcome {
     pub hits: Vec<(String, u32)>,
     /// Fixpoint rounds scanned, the final confirming round included.
     pub rounds: u32,
-    /// Rule attempts made past the anchor index (one per rule tried on
-    /// a live op of the rule's anchor class).
+    /// Rule attempts: rules tried on a live op of the rule's anchor
+    /// class whose operands passed the rule's prefilters (operand
+    /// shapes, and the twin bit for sibling-pair rules).
     pub attempts: u64,
+    /// Ops visited in rounds after the first: the incremental worklist's
+    /// rescans (a full confirming round would visit every op).
+    pub rescanned: u64,
 }
 
 /// Runs the fixpoint rewrite with an explicit ruleset. The per-rule
-/// hits, rounds and attempts are also added to the IR's running totals
-/// ([`CompileIr::rewrite_hits`], [`CompileIr::rewrite_rounds`],
-/// [`CompileIr::rewrite_attempts`]).
+/// hits, rounds, attempts and rescans are also added to the IR's
+/// running totals ([`CompileIr::rewrite_hits`],
+/// [`CompileIr::rewrite_rounds`], [`CompileIr::rewrite_attempts`],
+/// [`CompileIr::rewrite_rescanned`]).
 pub fn rewrite_ir(ir: &mut CompileIr, set: &RuleSet) -> RewriteOutcome {
-    let matcher = Matcher::new(set);
+    fixpoint(ir, set, |_, _, _, _| {})
+}
+
+/// The default ruleset compiled once: small compiles (per-mutant
+/// recompiles) would otherwise spend more on the matcher than on
+/// matching.
+fn default_matcher() -> &'static Matcher<'static> {
+    static MATCHER: OnceLock<Matcher<'static>> = OnceLock::new();
+    MATCHER.get_or_init(|| Matcher::new(default_ruleset()))
+}
+
+/// The fixpoint loop. `inspect` sees every round's IR, matcher, index
+/// and scan result before the round is applied.
+fn fixpoint(
+    ir: &mut CompileIr,
+    set: &RuleSet,
+    mut inspect: impl FnMut(&CompileIr, &Matcher, &Index, &Round),
+) -> RewriteOutcome {
+    let compiled;
+    let matcher = if std::ptr::eq(set, default_ruleset()) {
+        default_matcher()
+    } else {
+        compiled = Matcher::new(set);
+        &compiled
+    };
     let mut totals: BTreeMap<String, u32> = BTreeMap::new();
-    let (mut rounds, mut attempts) = (0u32, 0u64);
+    let (mut rounds, mut attempts, mut rescanned) = (0u32, 0u64, 0u64);
+    let mut idx = Index::build(ir);
+    // Ops the next round visits (`None`: every op).
+    let mut visit: Option<Vec<bool>> = None;
     for _ in 0..MAX_ROUNDS {
-        let (apps, next_val, tried) = scan_round(ir, set, &matcher);
+        if rounds > 0 {
+            rescanned += match &visit {
+                Some(v) => v.iter().filter(|&&b| b).count(),
+                None => ir.ops.len(),
+            } as u64;
+        }
+        let round = scan_round(ir, set, matcher, &idx, visit.as_deref(), true);
+        inspect(ir, matcher, &idx, &round);
         rounds += 1;
-        attempts += tried;
-        if apps.is_empty() {
+        attempts += round.attempts;
+        if round.apps.is_empty() {
             break;
         }
-        for a in &apps {
+        for a in &round.apps {
             *totals.entry(a.rule.clone()).or_insert(0) += 1;
         }
-        apply_round(ir, apps, next_val);
+        let seed = matcher.incremental.then(|| {
+            let mut seed = vec![u8::MAX; round.next_val as usize];
+            Ctx { ir, idx: &idx }.seed_before(matcher, &round, &mut seed);
+            seed
+        });
+        let origin = apply_round(ir, round.apps, round.next_val);
+        let next = Index::build(ir);
+        visit = seed.map(|mut seed| {
+            Ctx { ir, idx: &next }.seed_after(matcher, &idx, &origin, &mut seed);
+            rescan_set(ir, &seed, matcher.radius)
+        });
+        idx = next;
     }
     let hits: Vec<(String, u32)> = totals.into_iter().collect();
     for (name, n) in &hits {
@@ -140,11 +252,36 @@ pub fn rewrite_ir(ir: &mut CompileIr, set: &RuleSet) -> RewriteOutcome {
     }
     ir.rewrite_rounds += rounds;
     ir.rewrite_attempts += attempts;
+    ir.rewrite_rescanned += rescanned;
     RewriteOutcome {
         hits,
         rounds,
         attempts,
+        rescanned,
     }
+}
+
+/// The ops to rescan: those at most `radius` hops from a seed, where a
+/// value seeded at `h` is at hop `h`, its producer at hop `h` and each
+/// consumer one hop further (a seed's budget is `radius - h` hops).
+/// One forward pass over the topologically ordered ops.
+fn rescan_set(ir: &CompileIr, seed: &[u8], radius: u8) -> Vec<bool> {
+    let mut hops = seed.to_vec();
+    ir.ops
+        .iter()
+        .map(|op| {
+            let mut hop = u8::MAX;
+            op.kind.for_each_use(|v| hop = hop.min(hops[v as usize]));
+            hop = hop.saturating_add(1);
+            for &d in op.defs() {
+                hop = hop.min(seed[d as usize]);
+            }
+            for &d in op.defs() {
+                hops[d as usize] = hop;
+            }
+            hop <= radius
+        })
+        .collect()
 }
 
 // --- anchor index -------------------------------------------------------
@@ -152,6 +289,10 @@ pub fn rewrite_ir(ir: &mut CompileIr, set: &RuleSet) -> RewriteOutcome {
 /// Anchor classes: `not`, `mux`, `demux`, `sw2`, `cmp`, then one per
 /// gate op.
 const N_ANCHORS: usize = 5 + 6;
+
+/// Lookup classes: the anchor classes plus the 4×4 switch (the op a
+/// `lut2` RHS term resolves to).
+const N_LOOKUPS: usize = N_ANCHORS + 1;
 
 fn gate_class(g: GateOp) -> usize {
     5 + match g {
@@ -192,26 +333,375 @@ fn op_class(kind: &IrKind) -> Option<usize> {
     })
 }
 
-/// The ruleset compiled for one [`rewrite_ir`] call.
+/// An anchorable op's operands in pattern-child order, and their count
+/// (zero for constants and 4×4 switches).
+fn operands(kind: &IrKind) -> ([ValId; 3], usize) {
+    match *kind {
+        IrKind::Not { a } => ([a, 0, 0], 1),
+        IrKind::Gate { a, b, .. } | IrKind::BitCompare { a, b } => ([a, b, 0], 2),
+        IrKind::Demux { s, x } => ([s, x, 0], 2),
+        IrKind::Mux { s, a1, a0 } => ([s, a1, a0], 3),
+        IrKind::Switch2 { s, a, b } => ([s, a, b], 3),
+        IrKind::Const { .. } | IrKind::Switch4 { .. } => ([0; 3], 0),
+    }
+}
+
+/// Shape codes (see [`Index::code`]): `4 * class + leg` for anchorable
+/// producers, then these.
+const CODE_CONST: u8 = 4 * N_ANCHORS as u8; // + the constant
+const CODE_INPUT: u8 = CODE_CONST + 2;
+const CODE_SWITCH4: u8 = CODE_CONST + 3;
+/// Requirement: any shape.
+const ANY: u8 = u8::MAX;
+
+/// Gates and comparators in the term `pat[r]`, counted once per
+/// occurrence: each doubles the operand orders a lookup can bind.
+fn commutative_nodes(pat: &Pattern, r: PatRef) -> u32 {
+    let node = pat.nodes[r as usize];
+    let (kids, arity) = node.children();
+    let below: u32 = kids[..arity]
+        .iter()
+        .map(|&k| commutative_nodes(pat, k))
+        .sum();
+    below + u32::from(commutative_pair(node).is_some())
+}
+
+/// Shallowest depth at which variable `v` occurs in `pat[r]` (0 when
+/// `pat[r]` is `v` itself).
+fn var_depth(pat: &Pattern, r: PatRef, v: u8) -> Option<u8> {
+    match pat.nodes[r as usize] {
+        PatNode::Var(w) => (w == v).then_some(0),
+        node => {
+            let (kids, arity) = node.children();
+            kids[..arity]
+                .iter()
+                .filter_map(|&k| var_depth(pat, k, v))
+                .min()
+                .map(|d| d + 1)
+        }
+    }
+}
+
+/// Structural depth of `pat[r]` (variables and constants are 0).
+fn depth(pat: &Pattern, r: PatRef) -> u8 {
+    let (kids, arity) = pat.nodes[r as usize].children();
+    kids[..arity]
+        .iter()
+        .map(|&k| depth(pat, k) + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+/// A value position in root 0: operand `k` (`g == WHOLE`), or operand
+/// `g` of operand `k`'s producer — either of its first two when that
+/// producer is commutative (`either`).
+#[derive(Clone, Copy)]
+struct Place {
+    k: u8,
+    g: u8,
+    either: bool,
+}
+
+/// [`Place::g`] of an operand itself.
+const WHOLE: u8 = u8::MAX;
+
+/// One bucketed rule with its operand-shape prefilter.
+struct Candidate<'r> {
+    rule: &'r Rule,
+    /// Per root-0 operand: the required shape code, or [`ANY`].
+    need: [u8; 3],
+    /// Places root 0 binds to one variable (within two levels): each
+    /// pair must be able to hold one value.
+    links: Vec<(Place, Place)>,
+    /// Root 0 is a gate or comparator: operands match in either order.
+    commutative: bool,
+    /// Sibling-pair rule: some companion root is a different op kind
+    /// over root 0's two variables, so only an op with a twin can match.
+    twin: bool,
+}
+
+/// Gates and comparators, with their op identity (gate op, or `None`
+/// for the comparator) and operand terms.
+fn commutative_pair(node: PatNode) -> Option<(Option<GateOp>, PatRef, PatRef)> {
+    match node {
+        PatNode::Gate(g, a, b) => Some((Some(g), a, b)),
+        PatNode::BitCompareLeg(_, a, b) => Some((None, a, b)),
+        _ => None,
+    }
+}
+
+impl<'r> Candidate<'r> {
+    fn new(rule: &'r Rule) -> Candidate<'r> {
+        let lhs = &rule.lhs;
+        let root = lhs.nodes[lhs.roots[0] as usize];
+        let (kids, arity) = root.children();
+        let mut need = [ANY; 3];
+        // Variable occurrences in operands and their operands.
+        let mut occurs: Vec<(u8, Place)> = Vec::new();
+        for (k, &c) in kids[..arity].iter().enumerate() {
+            let node = lhs.nodes[c as usize];
+            need[k] = match node {
+                PatNode::Var(_) => ANY,
+                PatNode::Const(v) => CODE_CONST + u8::from(v),
+                node => node_class(&node).map_or(ANY, |cl| 4 * cl as u8 + Ctx::root_leg(&node)),
+            };
+            let k = k as u8;
+            if let PatNode::Var(v) = node {
+                occurs.push((
+                    v,
+                    Place {
+                        k,
+                        g: WHOLE,
+                        either: false,
+                    },
+                ));
+            } else if need[k as usize] != ANY {
+                let either = commutative_pair(node).is_some();
+                let (grand, n) = node.children();
+                for (g, &gc) in grand[..n].iter().enumerate() {
+                    if let PatNode::Var(v) = lhs.nodes[gc as usize] {
+                        occurs.push((
+                            v,
+                            Place {
+                                k,
+                                g: g as u8,
+                                either,
+                            },
+                        ));
+                    }
+                }
+            }
+        }
+        let mut links = Vec::new();
+        for (i, &(v, at)) in occurs.iter().enumerate() {
+            if let Some(&(_, first)) = occurs[..i].iter().find(|(w, _)| *w == v) {
+                links.push((first, at));
+            }
+        }
+        let var_of = |r: PatRef| match lhs.nodes[r as usize] {
+            PatNode::Var(v) => Some(v),
+            _ => None,
+        };
+        // A companion of another identity over root 0's two variables
+        // is necessarily another op over root 0's sorted operand pair.
+        let twin = commutative_pair(root).is_some_and(|(id0, a0, b0)| {
+            let (x, y) = (var_of(a0), var_of(b0));
+            x.is_some()
+                && y.is_some()
+                && x != y
+                && lhs.roots[1..].iter().any(|&r| {
+                    commutative_pair(lhs.nodes[r as usize]).is_some_and(|(id, a, b)| {
+                        let (p, q) = (var_of(a), var_of(b));
+                        id != id0 && ((p, q) == (x, y) || (p, q) == (y, x))
+                    })
+                })
+        });
+        Candidate {
+            rule,
+            need,
+            links,
+            commutative: commutative_pair(root).is_some(),
+            twin,
+        }
+    }
+
+    /// Whether an op with these operand values and shape codes can
+    /// match this rule's root 0 — a necessary condition (the twin bit
+    /// is checked apart). `inner(k)` gives operand `k`'s producer's
+    /// operands; it is called only for operands whose shape fits a
+    /// subterm.
+    #[inline]
+    fn admits(
+        &self,
+        vals: &[ValId; 3],
+        codes: &[u8; 3],
+        inner: &mut impl FnMut(usize) -> [ValId; 3],
+    ) -> bool {
+        self.fits(false, vals, codes, inner)
+            || self.commutative && self.fits(true, vals, codes, inner)
+    }
+
+    /// [`Candidate::admits`] for one operand order (`swap`: the two
+    /// operands of a commutative root exchanged).
+    fn fits(
+        &self,
+        swap: bool,
+        vals: &[ValId; 3],
+        codes: &[u8; 3],
+        inner: &mut impl FnMut(usize) -> [ValId; 3],
+    ) -> bool {
+        let at = |k: u8| {
+            if swap && k < 2 {
+                1 - k as usize
+            } else {
+                k as usize
+            }
+        };
+        let shapes = (0..3).all(|k| self.need[k] == ANY || self.need[k] == codes[at(k as u8)]);
+        shapes
+            && self.links.iter().all(|&(p, q)| {
+                if p.k == q.k && p.g != WHOLE && q.g != WHOLE {
+                    // Two operands of one producer: exact either way.
+                    let ops = inner(at(p.k));
+                    return ops[p.g as usize] == ops[q.g as usize];
+                }
+                let mut hold = |pl: Place| match pl.g {
+                    WHOLE => [vals[at(pl.k)]; 2],
+                    g => {
+                        let ops = inner(at(pl.k));
+                        if pl.either {
+                            [ops[0], ops[1]]
+                        } else {
+                            [ops[g as usize]; 2]
+                        }
+                    }
+                };
+                let (a, b) = (hold(p), hold(q));
+                a.iter().any(|v| b.contains(v))
+            })
+    }
+}
+
+/// The ruleset compiled for matching (once per process for the
+/// default ruleset, per [`rewrite_ir`] call otherwise).
 struct Matcher<'r> {
     /// Rules per anchor class, in file order within each bucket.
-    buckets: [Vec<&'r Rule>; N_ANCHORS],
+    buckets: [Vec<Candidate<'r>>; N_ANCHORS],
     /// Widest rule's variable count (sizes `Scratch::bind`).
     n_vars: usize,
+    /// The distinct lookup terms (every structural node under a
+    /// companion root or an RHS root, all resolved by structural key)
+    /// per lookup class, for worklist seeding.
+    lookups: [Vec<Lookup<'r>>; N_LOOKUPS],
+    /// Rescan radius in consumer hops: the deepest root-0 term (at least
+    /// 1 when `sw4-compose`, which reads its inner switch, is on).
+    radius: u8,
+    /// Hops an op's own facts are visible upward: to anchors whose
+    /// root 0 matches it (one less than the deepest root-0 term), or to
+    /// `sw4-compose` one op above it.
+    def_budget: u8,
+    /// Whether later rounds use the worklist: false when some lookup
+    /// term has no variable, so no anchor value witnesses its changes.
+    incremental: bool,
+}
+
+/// One lookup term, for worklist seeding.
+struct Lookup<'r> {
+    pat: &'r Pattern,
+    r: PatRef,
+    /// Its [`lookup_shape`], which identifies it among the terms.
+    shape: Vec<u8>,
+    /// Operand orders to try: two per commutative node.
+    orders: u32,
+    /// Hops from a value bound to one of its variables up to an anchor
+    /// whose lookup resolves it: the deepest such variable's shallowest
+    /// depth in the rule's root 0 (the maximum over rules sharing the
+    /// term's shape).
+    budget: u8,
+    /// Whether attempts read the use counts of the op it finds:
+    /// companion interiors and multi-leg companion roots (dying-interior
+    /// and root-deletion checks). RHS terms and single-leg companion
+    /// roots, which are always deleted, read none.
+    counted: bool,
 }
 
 impl<'r> Matcher<'r> {
     fn new(set: &'r RuleSet) -> Matcher<'r> {
-        let mut buckets: [Vec<&Rule>; N_ANCHORS] = Default::default();
-        let mut n_vars = 0;
+        let compose = u8::from(set.builtins.iter().any(|b| b == "sw4-compose"));
+        let mut m = Matcher {
+            buckets: Default::default(),
+            n_vars: 0,
+            lookups: Default::default(),
+            radius: compose,
+            def_budget: compose,
+            incremental: true,
+        };
         for rule in &set.rules {
-            let root0 = rule.lhs.nodes[rule.lhs.roots[0] as usize];
-            if let Some(c) = node_class(&root0) {
-                buckets[c].push(rule);
+            let (lhs, rhs) = (&rule.lhs, &rule.rhs);
+            let r0 = lhs.roots[0];
+            if let Some(c) = node_class(&lhs.nodes[r0 as usize]) {
+                m.buckets[c].push(Candidate::new(rule));
             }
-            n_vars = n_vars.max(usize::from(rule.lhs.n_vars()));
+            m.n_vars = m.n_vars.max(usize::from(lhs.n_vars()));
+            let d0 = depth(lhs, r0);
+            m.radius = m.radius.max(d0);
+            m.def_budget = m.def_budget.max(d0.saturating_sub(1));
+            let budget = |pat: &Pattern, r: PatRef| {
+                let mut vars = Vec::new();
+                pat.vars_of(r, &mut vars);
+                vars.iter()
+                    .filter_map(|&v| var_depth(lhs, r0, v))
+                    .max()
+                    .unwrap_or(0)
+            };
+            for &r in &lhs.roots[1..] {
+                m.add_lookups(lhs, r, budget(lhs, r), Some(true));
+            }
+            for &r in &rhs.roots {
+                m.add_lookups(rhs, r, budget(rhs, r), None);
+            }
         }
-        Matcher { buckets, n_vars }
+        m
+    }
+
+    /// Registers every structural node of `pat[r]` as a lookup term,
+    /// once per shape: variable names, LUT tables and the term's own leg
+    /// do not change what it binds. `companion` is `None` in an RHS,
+    /// `Some(top)` in a companion root (`top` at the root itself).
+    fn add_lookups(&mut self, pat: &'r Pattern, r: PatRef, budget: u8, companion: Option<bool>) {
+        let node = pat.nodes[r as usize];
+        let class = match node {
+            PatNode::Lut2Leg(..) => N_ANCHORS,
+            _ => match node_class(&node) {
+                Some(c) => c,
+                None => return,
+            },
+        };
+        // A companion root of one leg is always deleted; interiors and
+        // multi-leg roots are subject to use-count checks.
+        let single_leg = matches!(node, PatNode::Not(_) | PatNode::Gate(..) | PatNode::Mux(..));
+        let counted = companion.is_some_and(|top| !(top && single_leg));
+        let mut shape = Vec::new();
+        lookup_shape(pat, r, true, &mut shape);
+        let terms = &mut self.lookups[class];
+        if let Some(seen) = terms.iter_mut().find(|l| l.shape == shape) {
+            seen.budget = seen.budget.max(budget);
+            seen.counted |= counted;
+        } else {
+            self.incremental &= shape.contains(&VAR_TOKEN);
+            terms.push(Lookup {
+                pat,
+                r,
+                shape,
+                orders: 1 << commutative_nodes(pat, r),
+                budget,
+                counted,
+            });
+        }
+        let (kids, arity) = node.children();
+        for &k in &kids[..arity] {
+            self.add_lookups(pat, k, budget, companion.map(|_| false));
+        }
+    }
+}
+
+/// [`lookup_shape`]'s token for a variable.
+const VAR_TOKEN: u8 = u8::MAX;
+
+/// Token encoding of a lookup term's shape; legs count below the top
+/// only, where a child's leg selects the value.
+fn lookup_shape(pat: &Pattern, r: PatRef, top: bool, out: &mut Vec<u8>) {
+    let node = pat.nodes[r as usize];
+    let leg = if top { 0 } else { Ctx::root_leg(&node) };
+    out.extend_from_slice(&match node {
+        PatNode::Var(_) => [VAR_TOKEN, 0],
+        PatNode::Const(v) => [1 + u8::from(v), 0],
+        PatNode::Lut2Leg(..) => [3, leg],
+        node => [4 + node_class(&node).unwrap_or(0) as u8, leg],
+    });
+    let (kids, arity) = node.children();
+    for &k in &kids[..arity] {
+        lookup_shape(pat, k, false, out);
     }
 }
 
@@ -284,6 +774,10 @@ struct Index {
     def_site: Vec<Option<(u32, u8)>>,
     /// val → known constant value.
     const_of: Vec<Option<bool>>,
+    /// val → shape code: `4 * class + leg` of its anchorable producer,
+    /// else [`CODE_CONST`] + the constant, [`CODE_INPUT`] or
+    /// [`CODE_SWITCH4`] (the operand-shape prefilter's input).
+    code: Vec<u8>,
     /// val → number of uses (op operands plus designated outputs).
     use_count: Vec<u32>,
     /// op index → observed by some output (backward reachability).
@@ -291,8 +785,12 @@ struct Index {
     /// profitable (DCE removes it for free on every pipeline), and
     /// crediting dead interiors would overstate a match's net gain.
     live_op: Vec<bool>,
-    /// Structural key → earliest op index computing it.
-    keys: FastMap<OpKey, u32>,
+    /// val → the ops reading it, in op order (an op reading it twice
+    /// appears twice): `users[users_at[v]..users_at[v + 1]]`. Every op
+    /// with a given structural key reads each of the key's operands, so
+    /// key lookups scan the least-used operand's list.
+    users_at: Vec<u32>,
+    users: Vec<u32>,
 }
 
 impl Index {
@@ -301,21 +799,45 @@ impl Index {
         let mut idx = Index {
             def_site: vec![None; n],
             const_of: vec![None; n],
+            // Values no op defines are primary inputs (or substituted
+            // away, and then never read).
+            code: vec![CODE_INPUT; n],
             use_count: vec![0; n],
             live_op: vec![false; ir.ops.len()],
-            keys: FastMap::with_capacity_and_hasher(ir.ops.len(), Default::default()),
+            users_at: Vec::new(),
+            users: Vec::new(),
         };
         for (i, op) in ir.ops.iter().enumerate() {
+            let class = op_class(&op.kind);
             for (leg, &d) in op.defs().iter().enumerate() {
                 idx.def_site[d as usize] = Some((i as u32, leg as u8));
+                idx.code[d as usize] = match (op.kind, class) {
+                    (IrKind::Const { v }, _) => CODE_CONST + u8::from(v),
+                    (_, Some(c)) => (4 * c + leg) as u8,
+                    (_, None) => CODE_SWITCH4,
+                };
             }
             if let IrKind::Const { v } = op.kind {
                 idx.const_of[op.defs[0] as usize] = Some(v);
             }
             op.kind.for_each_use(|v| idx.use_count[v as usize] += 1);
-            if let Some(k) = op_key(&op.kind) {
-                idx.keys.entry(k).or_insert(i as u32);
-            }
+        }
+        // Consumer lists: offsets from the op-use counts, then one fill
+        // pass in op order.
+        idx.users_at.reserve(n + 1);
+        let mut at = 0u32;
+        idx.users_at.push(0);
+        for &c in &idx.use_count {
+            at += c;
+            idx.users_at.push(at);
+        }
+        let mut fill = idx.users_at.clone();
+        idx.users = vec![0; at as usize];
+        for (i, op) in ir.ops.iter().enumerate() {
+            op.kind.for_each_use(|v| {
+                idx.users[fill[v as usize] as usize] = i as u32;
+                fill[v as usize] += 1;
+            });
         }
         for &o in &ir.outputs {
             idx.use_count[o as usize] += 1;
@@ -332,6 +854,54 @@ impl Index {
             }
         }
         idx
+    }
+
+    /// The ops reading `v`, in op order.
+    fn users_of(&self, v: ValId) -> &[u32] {
+        let v = v as usize;
+        &self.users[self.users_at[v] as usize..self.users_at[v + 1] as usize]
+    }
+
+    /// The earliest op whose structural key is `key` (that of `kind`),
+    /// if any: a scan of the consumers of `kind`'s least-used operand.
+    /// Kinds over fresh values (defined by no op yet) find nothing.
+    fn find(&self, ir: &CompileIr, kind: &IrKind, key: &OpKey) -> Option<u32> {
+        let mut least: Option<(usize, ValId)> = None;
+        let mut fresh = false;
+        kind.for_each_use(|v| match self.users_at.get(v as usize + 1) {
+            Some(_) => {
+                let n = self.users_of(v).len();
+                if least.is_none_or(|(m, _)| n < m) {
+                    least = Some((n, v));
+                }
+            }
+            None => fresh = true,
+        });
+        let (_, v) = least.filter(|_| !fresh)?;
+        self.users_of(v)
+            .iter()
+            .copied()
+            .find(|&j| op_key(&ir.ops[j as usize].kind).as_ref() == Some(key))
+    }
+
+    /// Whether another gate or comparator reads op `i`'s sorted operand
+    /// pair (the sibling-pair rules' twin bit).
+    fn has_twin(&self, ir: &CompileIr, i: u32) -> bool {
+        let pair = |kind: &IrKind| match *kind {
+            IrKind::Gate { a, b, .. } | IrKind::BitCompare { a, b } => Some((a.min(b), a.max(b))),
+            _ => None,
+        };
+        let Some((a, b)) = pair(&ir.ops[i as usize].kind) else {
+            return false;
+        };
+        let v = if self.users_of(a).len() <= self.users_of(b).len() {
+            a
+        } else {
+            b
+        };
+        self.users_of(v)
+            .iter()
+            .any(|&j| j != i && pair(&ir.ops[j as usize].kind) == Some((a, b)))
     }
 
     /// Whether `v`'s definition is strictly before op index `pos`
@@ -353,6 +923,7 @@ impl Index {
 
 /// One applied match, recorded against the *pre-batch* IR; batched per
 /// round and applied in one rebuild.
+#[derive(Debug, PartialEq, Eq)]
 struct App {
     rule: String,
     /// Every op the match touched (roots, companions, interiors):
@@ -372,10 +943,30 @@ struct App {
     net: usize,
 }
 
-/// One scan: the round's matches, the next fresh value id, and the
-/// number of rule attempts made.
-fn scan_round(ir: &CompileIr, set: &RuleSet, matcher: &Matcher) -> (Vec<App>, u32, u64) {
-    let idx = Index::build(ir);
+/// One scanned round.
+struct Round {
+    /// The matches to apply, in scan order.
+    apps: Vec<App>,
+    /// Matches the round-level constant-revival check dropped.
+    dropped: Vec<App>,
+    /// The next fresh value id.
+    next_val: u32,
+    /// Rule attempts made.
+    attempts: u64,
+}
+
+/// One scan over the ops marked in `visit` (every op when `None`),
+/// trying only rules that pass the operand-shape prefilter when
+/// `prefilter` is set. The unfiltered call (`None`, `false`) is the
+/// reference scan the worklist and the prefilter must agree with.
+fn scan_round(
+    ir: &CompileIr,
+    set: &RuleSet,
+    matcher: &Matcher,
+    idx: &Index,
+    visit: Option<&[bool]>,
+    prefilter: bool,
+) -> Round {
     let mut apps: Vec<App> = Vec::new();
     // Root ops already claimed for deletion/substitution this round: a
     // later match may reuse them as interiors (sound — both rewrites
@@ -390,19 +981,40 @@ fn scan_round(ir: &CompileIr, set: &RuleSet, matcher: &Matcher) -> (Vec<App>, u3
         matched: Vec::new(),
         roots: Vec::new(),
     };
-    let ctx = Ctx { ir, idx: &idx };
+    let visits = |i: usize| visit.is_none_or(|v| v[i]);
+    let ctx = Ctx { ir, idx };
     for (i, op) in ir.ops.iter().enumerate() {
         // A root-0 match roots at op `i` itself, which must be live and
         // unclaimed — skipping such ops up front changes no outcome.
-        if consumed[i] || !idx.live_op[i] {
+        if !visits(i) || consumed[i] || !idx.live_op[i] {
             continue;
         }
         let Some(class) = op_class(&op.kind) else {
             continue;
         };
-        for rule in &matcher.buckets[class] {
+        let (vals, arity) = operands(&op.kind);
+        let mut codes = [0u8; 3];
+        for (c, &v) in codes.iter_mut().zip(&vals[..arity]) {
+            *c = idx.code[v as usize];
+        }
+        let mut fetched: [Option<[ValId; 3]>; 3] = [None; 3];
+        let mut inner = |k: usize| {
+            *fetched[k].get_or_insert_with(|| match idx.def_site[vals[k] as usize] {
+                Some((j, _)) => operands(&ir.ops[j as usize].kind).0,
+                None => [ValId::MAX; 3],
+            })
+        };
+        let mut twin = None;
+        for cand in &matcher.buckets[class] {
+            if prefilter
+                && (!cand.admits(&vals, &codes, &mut inner)
+                    || cand.twin && !*twin.get_or_insert_with(|| idx.has_twin(ir, i as u32)))
+            {
+                continue;
+            }
             attempts += 1;
-            if let Some(app) = ctx.try_rule(i as u32, rule, &consumed, &mut next_val, &mut scratch)
+            if let Some(app) =
+                ctx.try_rule(i as u32, cand.rule, &consumed, &mut next_val, &mut scratch)
             {
                 for &d in &app.deleted {
                     consumed[d as usize] = true;
@@ -414,8 +1026,8 @@ fn scan_round(ir: &CompileIr, set: &RuleSet, matcher: &Matcher) -> (Vec<App>, u3
     }
     for b in &set.builtins {
         match b.as_str() {
-            "sw4-const-select" => ctx.builtin_const_select(&mut apps, &mut consumed),
-            "sw4-compose" => ctx.builtin_compose(&mut apps, &mut consumed, &mut next_val),
+            "sw4-const-select" => ctx.builtin_const_select(&mut apps, &mut consumed, &visits),
+            "sw4-compose" => ctx.builtin_compose(&mut apps, &mut consumed, &mut next_val, &visits),
             other => panic!("unknown builtin rule `{other}` (known: {BUILTINS:?})"),
         }
     }
@@ -425,6 +1037,13 @@ fn scan_round(ir: &CompileIr, set: &RuleSet, matcher: &Matcher) -> (Vec<App>, u3
     // strictly shrink the tape, drop the constant-reviving matches —
     // keeps the tape monotone across opt levels even when only one
     // LUT-pair match exists in the whole circuit.
+    let revives = |op: &IrOp| {
+        let mut hit = false;
+        op.kind.for_each_use(|v| {
+            hit |= (v == ir.const_false || v == ir.const_true) && idx.use_count[v as usize] == 0
+        });
+        hit
+    };
     let revived = |apps: &[App]| {
         let mut set: Vec<ValId> = Vec::new();
         for a in apps {
@@ -443,20 +1062,19 @@ fn scan_round(ir: &CompileIr, set: &RuleSet, matcher: &Matcher) -> (Vec<App>, u3
     };
     let cost = revived(&apps).len();
     let gain: usize = apps.iter().map(|a| a.net).sum();
+    let mut dropped = Vec::new();
     if gain <= cost {
-        apps.retain(|a| {
-            a.new_ops.iter().all(|op| {
-                let mut ok = true;
-                op.kind.for_each_use(|v| {
-                    ok &= !((v == ir.const_false || v == ir.const_true)
-                        && idx.use_count[v as usize] == 0)
-                });
-                ok
-            })
-        });
+        (dropped, apps) = apps
+            .into_iter()
+            .partition(|a| a.new_ops.iter().any(revives));
         debug_assert!(revived(&apps).is_empty());
     }
-    (apps, next_val, attempts)
+    Round {
+        apps,
+        dropped,
+        next_val,
+        attempts,
+    }
 }
 
 struct Ctx<'a> {
@@ -549,7 +1167,7 @@ impl Ctx<'_> {
     }
 
     /// Resolves a *ground* term (all variables bound) to an existing IR
-    /// value via the structural key map, recording the ops it rests on.
+    /// value by structural-key lookup, recording the ops it rests on.
     fn resolve_ground(
         &self,
         pat: &Pattern,
@@ -599,7 +1217,7 @@ impl Ctx<'_> {
                     },
                     _ => unreachable!(),
                 };
-                let i = *self.idx.keys.get(&op_key(&kind)?)?;
+                let i = self.idx.find(self.ir, &kind, &op_key(&kind)?)?;
                 matched.push(i);
                 let leg = Self::root_leg(&node) as usize;
                 let op = &self.ir.ops[i as usize];
@@ -755,9 +1373,14 @@ impl Ctx<'_> {
     /// const-prop runs first and owns these sites, so this fires only
     /// in pipelines without const-prop — output there stays correct,
     /// with conservative `Rewritten` provenance.)
-    fn builtin_const_select(&self, apps: &mut Vec<App>, consumed: &mut [bool]) {
+    fn builtin_const_select(
+        &self,
+        apps: &mut Vec<App>,
+        consumed: &mut [bool],
+        visits: &impl Fn(usize) -> bool,
+    ) {
         for (i, op) in self.ir.ops.iter().enumerate() {
-            if !self.idx.live_op[i] || consumed[i] {
+            if !visits(i) || !self.idx.live_op[i] || consumed[i] {
                 continue;
             }
             let IrKind::Switch4 { s1, s0, ins, perms } = op.kind else {
@@ -798,9 +1421,15 @@ impl Ctx<'_> {
     /// pair compose into one switch with multiplied permutation rows —
     /// applied only when the inner switch dies with the outer one, so
     /// the batch strictly shrinks.
-    fn builtin_compose(&self, apps: &mut Vec<App>, consumed: &mut [bool], next_val: &mut u32) {
+    fn builtin_compose(
+        &self,
+        apps: &mut Vec<App>,
+        consumed: &mut [bool],
+        next_val: &mut u32,
+        visits: &impl Fn(usize) -> bool,
+    ) {
         'outer: for (i, op) in self.ir.ops.iter().enumerate() {
-            if !self.idx.live_op[i] || consumed[i] {
+            if !visits(i) || !self.idx.live_op[i] || consumed[i] {
                 continue;
             }
             let i = i as u32;
@@ -897,6 +1526,158 @@ impl Ctx<'_> {
             consumed[ai as usize] = true;
         }
     }
+
+    // --- worklist seeding (see the module docs) -------------------------
+
+    /// Seeds from the IR before a round is applied: the lookup bindings
+    /// of every op the round deletes (another op with its key may
+    /// become the one lookups find), and the defs and bindings of every
+    /// op a dropped match touched.
+    fn seed_before(&self, m: &Matcher, round: &Round, seed: &mut [u8]) {
+        let mut buf = Vec::new();
+        for a in &round.apps {
+            for &d in &a.deleted {
+                self.seed_lookups(d, m, false, seed, &mut buf);
+            }
+        }
+        for a in &round.dropped {
+            for &i in &a.matched {
+                self.seed_op(i, m, false, seed, &mut buf);
+            }
+        }
+    }
+
+    /// Seeds from the IR after a round is applied (`self.idx` indexes
+    /// it, `old` indexed the IR before, `origin` maps each op to its
+    /// index there or [`REBUILT`]): every op that is new or re-keyed,
+    /// and every op defining a value that lost uses.
+    fn seed_after(&self, m: &Matcher, old: &Index, origin: &[u32], seed: &mut [u8]) {
+        let mut buf = Vec::new();
+        for (j, op) in self.ir.ops.iter().enumerate() {
+            let o = origin[j];
+            if o == REBUILT {
+                self.seed_op(j as u32, m, false, seed, &mut buf);
+                continue;
+            }
+            let constant = matches!(op.kind, IrKind::Const { .. });
+            debug_assert!(
+                constant || old.live_op[o as usize] || !self.idx.live_op[j],
+                "op {j} came back to life"
+            );
+            let lost_uses = op.defs().iter().any(|&d| {
+                let d = d as usize;
+                self.idx.use_count[d] < old.use_count[d]
+            });
+            if lost_uses && !constant {
+                self.seed_op(j as u32, m, true, seed, &mut buf);
+            }
+        }
+    }
+
+    /// Seeds op `i`'s defs and its lookup bindings (only those of
+    /// use-count-sensitive terms when `counted_only`).
+    fn seed_op(
+        &self,
+        i: u32,
+        m: &Matcher,
+        counted_only: bool,
+        seed: &mut [u8],
+        buf: &mut Vec<ValId>,
+    ) {
+        let at = m.radius - m.def_budget;
+        for &d in self.ir.ops[i as usize].defs() {
+            seed[d as usize] = seed[d as usize].min(at);
+        }
+        self.seed_lookups(i, m, counted_only, seed, buf);
+    }
+
+    /// For every lookup term op `i` instantiates, in every operand
+    /// order, seeds one witness among the values it binds to the term's
+    /// variables: an internal value if any, else a primary input, else
+    /// a constant, and of those the one with the fewest uses. The anchor
+    /// of any attempt whose lookup can find op `i` binds all of them in
+    /// its root 0, within the term's budget.
+    fn seed_lookups(
+        &self,
+        i: u32,
+        m: &Matcher,
+        counted_only: bool,
+        seed: &mut [u8],
+        buf: &mut Vec<ValId>,
+    ) {
+        let kind = &self.ir.ops[i as usize].kind;
+        let class = match (kind, op_class(kind)) {
+            (IrKind::Switch4 { .. }, _) => N_ANCHORS,
+            (_, Some(c)) => c,
+            (_, None) => return,
+        };
+        let cost = |v: ValId| {
+            let rank = match self.idx.const_of[v as usize] {
+                Some(_) => 2u8,
+                None => u8::from(v < self.ir.n_inputs),
+            };
+            (rank, self.idx.use_count[v as usize], v)
+        };
+        for l in &m.lookups[class] {
+            if counted_only && !l.counted {
+                continue;
+            }
+            for mut choice in 0..l.orders {
+                buf.clear();
+                if self.bind_lookup(l.pat, l.r, i, &mut choice, buf) {
+                    if let Some(&v) = buf.iter().min_by_key(|&&v| cost(v)) {
+                        let at = m.radius - l.budget;
+                        seed[v as usize] = seed[v as usize].min(at);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Collects into `out` the values op `i` binds to the variables of
+    /// lookup term `pat[r]`, each commutative node taking its operand
+    /// order from the next bit of `choice`; false when op `i` cannot
+    /// instantiate the term that way. The term's own leg is not checked
+    /// (lookups find ops by key), nor are LUT tables (a superset is
+    /// safe).
+    fn bind_lookup(
+        &self,
+        pat: &Pattern,
+        r: PatRef,
+        i: u32,
+        choice: &mut u32,
+        out: &mut Vec<ValId>,
+    ) -> bool {
+        let node = pat.nodes[r as usize];
+        let kind = &self.ir.ops[i as usize].kind;
+        let mut vals = match (node, kind) {
+            (PatNode::Lut2Leg(..), &IrKind::Switch4 { s1, s0, .. }) => [s1, s0, 0],
+            _ if node_class(&node).is_some() && node_class(&node) == op_class(kind) => {
+                operands(kind).0
+            }
+            _ => return false,
+        };
+        if commutative_pair(node).is_some() {
+            if *choice & 1 == 1 {
+                vals.swap(0, 1);
+            }
+            *choice >>= 1;
+        }
+        let (kids, arity) = node.children();
+        kids[..arity]
+            .iter()
+            .zip(vals)
+            .all(|(&k, v)| match pat.nodes[k as usize] {
+                PatNode::Var(_) => {
+                    out.push(v);
+                    true
+                }
+                PatNode::Const(c) => self.idx.const_of[v as usize] == Some(c),
+                child => self.idx.def_site[v as usize].is_some_and(|(j, leg)| {
+                    leg == Self::root_leg(&child) && self.bind_lookup(pat, k, j, choice, out)
+                }),
+            })
+    }
 }
 
 /// RHS construction for one match: resolves terms bottom-up, reusing
@@ -985,7 +1766,7 @@ impl RhsBuilder<'_, '_> {
                 // defined before the insert point, and not being
                 // deleted (reviving a dead op would hand DCE's win to
                 // the rewrite's cost column unaccounted).
-                if let Some(&j) = self.ctx.idx.keys.get(&key) {
+                if let Some(j) = self.ctx.idx.find(ir, &kind, &key) {
                     if j < self.insert_at
                         && !self.consumed[j as usize]
                         && self.ctx.idx.live_op[j as usize]
@@ -1033,7 +1814,13 @@ impl RhsBuilder<'_, '_> {
 
 // --- batch application --------------------------------------------------
 
-fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) {
+/// [`apply_round`]'s origin of an op the round inserted or re-keyed.
+const REBUILT: u32 = u32::MAX;
+
+/// Applies a round's matches in one rebuild. Returns each op's index
+/// before the round, or [`REBUILT`] for ops inserted or with a
+/// substituted operand.
+fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) -> Vec<u32> {
     debug_assert!(next_val >= ir.n_vals);
     ir.n_vals = next_val;
 
@@ -1065,12 +1852,15 @@ fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) {
 
     let old_ops = std::mem::take(&mut ir.ops);
     let mut out = Vec::with_capacity(old_ops.len());
+    let mut origin = Vec::with_capacity(old_ops.len());
     for (i, op) in old_ops.into_iter().enumerate() {
         if let Some(list) = pending.remove(&(i as u32)) {
+            origin.extend(std::iter::repeat_n(REBUILT, list.len()));
             out.extend(list);
         }
         if !deleted[i] {
             out.push(op);
+            origin.push(i as u32);
         }
     }
     debug_assert!(pending.is_empty(), "insert point past end of op list");
@@ -1086,13 +1876,22 @@ fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) {
         }
         v
     };
-    for op in &mut out {
-        op.kind.map_uses(resolve);
+    for (op, o) in out.iter_mut().zip(&mut origin) {
+        let mut rekeyed = false;
+        op.kind.map_uses(|v| {
+            let r = resolve(v);
+            rekeyed |= r != v;
+            r
+        });
+        if rekeyed {
+            *o = REBUILT;
+        }
     }
     for o in &mut ir.outputs {
         *o = resolve(*o);
     }
     ir.ops = out;
+    origin
 }
 
 #[cfg(test)]
@@ -1245,5 +2044,141 @@ mod tests {
             fired.len() >= 10,
             "corpus must exercise several rules, fired only {fired:?}"
         );
+    }
+
+    /// Runs the rewrite fixpoint on `ir` and, on every round, the
+    /// unfiltered full scan of the same IR beside the worklist +
+    /// prefilter scan; panics where their matches differ. Returns the
+    /// number of matches applied in rounds after the first.
+    fn cross_check(mut ir: CompileIr, set: &RuleSet, what: &str) -> usize {
+        let (mut round, mut late) = (0, 0);
+        fixpoint(&mut ir, set, |ir, matcher, idx, scan| {
+            round += 1;
+            let full = scan_round(ir, set, matcher, idx, None, false);
+            assert_eq!(scan.apps, full.apps, "{what}: round {round} matches differ");
+            assert_eq!(
+                scan.dropped, full.dropped,
+                "{what}: round {round} drops differ"
+            );
+            assert_eq!(scan.next_val, full.next_val, "{what}: round {round}");
+            assert!(scan.attempts <= full.attempts, "{what}: round {round}");
+            if round > 1 {
+                late += scan.apps.len();
+            }
+        });
+        late
+    }
+
+    /// `c` lowered, then (`default`) through the default pipeline's
+    /// passes before `rewrite` — or not (the O0 + rewrite pipeline).
+    fn entering_rewrite(c: &Circuit, default: bool) -> CompileIr {
+        let mut ir = lower(c);
+        if default {
+            let passes = crate::CompileOptions::default().passes;
+            for p in crate::PassName::ALL {
+                if p == crate::PassName::Rewrite {
+                    break;
+                }
+                if passes.contains(p) {
+                    crate::passes::pass_impl(p).run(&mut ir);
+                }
+            }
+        }
+        ir
+    }
+
+    /// Round 1 rewrites `not(not(y))` to `y`, which turns `g(x, ¬¬y)`
+    /// into `g(x, y)`: round 2 then finds it as a pair companion of
+    /// `and(x, y)` (`g = or`), or (`g = nand`) reuses it for
+    /// `not(cmp.0(x, y))` two hops above the changed values.
+    fn round_two_site(g: GateOp, internal: bool) -> Circuit {
+        let mut b = Builder::new();
+        let (p, q) = (b.input(), b.input());
+        let (x, y) = if internal {
+            (b.xor(p, q), b.or(p, q))
+        } else {
+            (p, q)
+        };
+        let ny = b.not(y);
+        let nny = b.not(ny);
+        let late = b.gate(g, x, nny);
+        let mut outs = vec![late];
+        if g == GateOp::Nand {
+            let (lo, hi) = b.bit_compare(x, y);
+            let n = b.not(lo);
+            outs.extend([lo, hi, n]);
+        } else {
+            outs.push(b.and(x, y));
+        }
+        b.outputs(&outs);
+        b.finish()
+    }
+
+    /// Round 1 deletes `nand(x, y)` (pair companion of `and(x, y)`),
+    /// which `not(cmp.0(x, y))` could not reuse while claimed; round 2
+    /// finds the later duplicate instead (no CSE on the O0 pipeline) —
+    /// a change visible only through the deleted op's key.
+    fn next_earliest_site() -> Circuit {
+        let mut b = Builder::new();
+        let (x, y) = (b.input(), b.input());
+        let first = b.gate(GateOp::Nand, x, y);
+        let g = b.and(x, y);
+        let second = b.gate(GateOp::Nand, x, y);
+        let (lo, hi) = b.bit_compare(x, y);
+        let n = b.not(lo);
+        let mut outs = vec![first, g, second, lo, hi, n];
+        // Two more LUT pairs, so round 1 gains more than reviving the
+        // two canonical constants costs.
+        for _ in 0..2 {
+            let (p, q) = (b.input(), b.input());
+            outs.extend([b.and(p, q), b.xor(p, q)]);
+        }
+        b.outputs(&outs);
+        b.finish()
+    }
+
+    #[test]
+    fn worklist_scan_matches_full_scan_every_round() {
+        let set = default_ruleset();
+        let mut late = 0;
+        for default in [false, true] {
+            for g in [GateOp::Or, GateOp::Nand] {
+                for internal in [false, true] {
+                    let what = format!("{g:?} site (internal {internal}, default {default})");
+                    let n = cross_check(
+                        entering_rewrite(&round_two_site(g, internal), default),
+                        set,
+                        &what,
+                    );
+                    assert!(n > 0, "{what}: round 2 must apply a match");
+                    late += n;
+                }
+            }
+            let what = format!("next-earliest site (default {default})");
+            let n = cross_check(entering_rewrite(&next_earliest_site(), default), set, &what);
+            assert!(default || n > 0, "{what}: round 2 must apply a match");
+            late += n;
+            for seed in 0..64 {
+                let what = format!("random dag {seed} (default {default})");
+                late += cross_check(entering_rewrite(&random_dag(seed), default), set, &what);
+            }
+            for n in [8, 64, 256] {
+                use absort::core::{fish, muxmerge, nonadaptive, prefix};
+                let k = absort::analysis::faults::fish_k(n);
+                let catalog = [
+                    ("prefix", prefix::build(n)),
+                    ("mux-merger", muxmerge::build(n)),
+                    ("batcher", nonadaptive::build(n)),
+                    ("fish", fish::circuits::build_combinational_kmerger(n, k)),
+                ];
+                for (name, c) in catalog {
+                    let text = absort::circuit::serdes::to_text(&c);
+                    let c = crate::serdes::from_text(&text).expect("catalog circuit parses");
+                    let what = format!("{name} n={n} (default {default})");
+                    late += cross_check(entering_rewrite(&c, default), set, &what);
+                }
+            }
+        }
+        assert!(late > 0, "no round after the first applied a match");
     }
 }

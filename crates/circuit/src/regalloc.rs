@@ -259,6 +259,7 @@ pub fn allocate_with(ir: &CompileIr, par_safe: bool) -> CompiledCircuit {
         rewrite_hits: ir.rewrite_hits.clone(),
         rewrite_rounds: ir.rewrite_rounds,
         rewrite_attempts: ir.rewrite_attempts,
+        rewrite_rescanned: ir.rewrite_rescanned,
         fused_pairs: Vec::new(),
         s4_chains: Vec::new(),
         s4_items: Vec::new(),

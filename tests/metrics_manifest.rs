@@ -100,10 +100,24 @@ fn inspect_writes_valid_manifest() {
     assert!(counter("build.wires") > counter("build.components"));
 
     // The rewrite pass reports its effort beside its hits: one round
-    // that applies matches, one confirming round that applies none.
+    // that applies matches, one confirming round that applies none —
+    // and rescans only part of the IR (the pass table's op count
+    // entering the pass).
     assert_eq!(counter("compile.pass.rewrite.rounds"), 2);
     assert!(counter("compile.pass.rewrite.attempts") > counter("compile.pass.rewrite.applied"));
     assert!(counter("compile.pass.rewrite.applied") > 0);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ir_ops: i64 = stdout
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("rewrite "))
+        .and_then(|row| row.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no rewrite row in the pass table:\n{stdout}"));
+    let rescanned = counter("compile.pass.rewrite.rescanned");
+    assert!(
+        rescanned > 0 && rescanned < ir_ops,
+        "rescanned {rescanned} of {ir_ops} ops"
+    );
 
     // The inspect command also records what it measured.
     let circuit = m.get("circuit").expect("circuit section");
